@@ -15,7 +15,7 @@ from .config import (
     rival_attacker_config,
     symmetric_attacker_config,
 )
-from .engine import RoundRecord, SimulationResult, run_simulation, select_leader
+from .engine import RoundRecord, SimulationResult, run_simulation
 from .experiments import (
     RevenuePoint,
     SweepConfig,
@@ -36,7 +36,7 @@ from .io import (
     write_results,
 )
 from .rng import derive_run_seed
-from .strategy import Action, TieContext, decide_action, resolve_match_weights
+from .strategy import Action, decide_action
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "StrongchainParams",
     "SweepConfig",
     "ThresholdEstimate",
-    "TieContext",
     "balanced_fruit_params",
     "bootstrap_ci",
     "config_digest",
@@ -69,12 +68,10 @@ __all__ = [
     "parse_config",
     "read_results",
     "read_thresholds",
-    "resolve_match_weights",
     "rival_attacker_config",
     "rows_from_result",
     "run_simulation",
     "run_sweep",
-    "select_leader",
     "symmetric_attacker_config",
     "threshold_search",
     "write_results",

@@ -9,14 +9,15 @@ Failures print one JSON object to stderr; exit status is 0 on success,
 
 Outputs land under ``--out`` as results.csv, thresholds.json, plotdata/
 and manifest.json.  ``--jobs`` fans independent sweep tasks out over
-worker processes; outputs do not depend on the worker count.
+worker processes, at most one per task and per CPU; outputs do not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -34,6 +35,26 @@ def _fail(kind: str, message) -> None:
 
 def _fmt(x: float) -> str:
     return f"{x:.5f}"
+
+
+def _workers(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` independent tasks.
+
+    A pool starts all its workers at once, so ``jobs`` is clamped to the
+    task and CPU counts; below 1 it is a config error.
+    """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
+def _map(fn, tasks: list, jobs: int) -> list:
+    """``fn`` over ``tasks`` in order, in-process or on a worker pool."""
+    workers = _workers(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 # -- simulate ----------------------------------------------------------------
@@ -69,41 +90,10 @@ def _cmd_simulate(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
-def _single_point(cfg: SweepConfig, alpha: float) -> SweepConfig:
-    return replace(cfg, alpha_grid=(alpha,))
-
-
-def _point_task(task) -> tuple:
-    cfg, alpha = task
+def _point_task(cfg: SweepConfig) -> tuple:
     rows: list = []
-    pts = run_sweep(
-        _single_point(cfg, alpha), on_result=lambda r: rows.extend(rows_from_result(r))
-    )
-    return pts[0], rows
-
-
-def _sweep_points(cfg: SweepConfig, jobs: int) -> tuple:
-    """Revenue points plus result rows, identical for any worker count.
-
-    Grid points draw their runs from per-point seed streams, so they can
-    run anywhere in any order; assembly follows grid order.
-    """
-    if jobs <= 1:
-        rows: list = []
-        points = run_sweep(cfg, on_result=lambda r: rows.extend(rows_from_result(r)))
-        return points, rows
-    tasks = [(cfg, alpha) for alpha in cfg.alpha_grid]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        done = list(pool.map(_point_task, tasks))
-    points = [pt for pt, _ in done]
-    rows = [row for _, task_rows in done for row in task_rows]
-    return points, rows
-
-
-def _sweep_key(cfg: SweepConfig) -> tuple:
-    if cfg.symmetric_attackers is not None:
-        return (cfg.protocol.value, cfg.gamma, cfg.symmetric_attackers)
-    return (cfg.protocol.value, cfg.gamma, 1 + len(cfg.fixed_rivals), cfg.fixed_rivals)
+    (point,) = run_sweep(cfg, on_result=lambda r: rows.extend(rows_from_result(r)))
+    return point, rows
 
 
 def _cmd_sweep(args) -> int:
@@ -113,21 +103,17 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
 
-    if args.jobs <= 1:
-        rows: list = []
-        points, est = threshold_search(
-            cfg, on_result=lambda r: rows.extend(rows_from_result(r))
-        )
-    else:
-        points, rows = _sweep_points(cfg, args.jobs)
-        est = estimate_threshold(points)
-        if est.threshold is not None and est.bracket is not None:
-            mid = round(sum(est.bracket) / 2.0, 6)
-            if est.bracket[0] < mid < est.bracket[1]:
-                mid_points, mid_rows = _sweep_points(_single_point(cfg, mid), 1)
-                rows.extend(mid_rows)
-                points = sorted(points + mid_points, key=lambda p: p.alpha)
-                est = estimate_threshold(points)
+    rows: list = []
+
+    def sweep(c: SweepConfig) -> list:
+        # Grid points draw their runs from per-point seed streams, so they
+        # can run anywhere in any order; assembly follows grid order.
+        tasks = [replace(c, alpha_grid=(alpha,)) for alpha in c.alpha_grid]
+        done = _map(_point_task, tasks, args.jobs)
+        rows.extend(row for _, task_rows in done for row in task_rows)
+        return [point for point, _ in done]
+
+    points, est = threshold_search(cfg, sweep)
 
     print("alpha    mean_revenue  attacker_gap")
     for p in points:
@@ -145,7 +131,7 @@ def _cmd_sweep(args) -> int:
     if args.out:
         write_results(
             rows,
-            {_sweep_key(cfg): est},
+            {cfg.key(): est},
             args.out,
             master_seed=cfg.master_seed,
             digest=describe_digest(cfg),
@@ -164,11 +150,7 @@ def _cell_task(cell) -> tuple:
 
 def _cmd_suite(args) -> int:
     cells = table_cells(master_seed=args.seed)
-    if args.jobs <= 1:
-        outcomes = [_cell_task(c) for c in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_cell_task, cells))
+    outcomes = _map(_cell_task, cells, args.jobs)
 
     all_rows: list = []
     thresholds = {}
@@ -186,11 +168,12 @@ def _cmd_suite(args) -> int:
     print(f"suite: {len(cells) - len(failures)}/{len(cells)} cells in band")
 
     if args.out:
-        digest = hashlib.sha256(
-            repr([c.sweep for c in cells]).encode("utf-8")
-        ).hexdigest()[:16]
         write_results(
-            all_rows, thresholds, args.out, master_seed=args.seed, digest=digest
+            all_rows,
+            thresholds,
+            args.out,
+            master_seed=args.seed,
+            digest=describe_digest([c.sweep for c in cells]),
         )
     if failures:
         _fail("band-mismatch", f"cells out of band: {', '.join(failures)}")

@@ -36,7 +36,7 @@ from .config import (
     config_digest,
 )
 from .rng import RoundLanes, derive_run_seed
-from .strategy import HONEST_BRANCH, Action, AttackerState, TieContext, cascade_release, resolve_match_weights
+from .strategy import HONEST_BRANCH, Action, AttackerState, cascade_release
 
 
 class Block:
@@ -112,24 +112,6 @@ class SimulationResult:
         return self.revenues[miner_id]
 
 
-def select_leader(miners, u: float) -> int:
-    """Leader for uniform draw ``u``: cumulative power intervals in id order.
-
-    Miner ``i`` owns the half-open interval [sum of powers below i, plus its
-    own power); the draw falls into exactly one interval.
-    """
-    if not 0.0 <= u < 1.0:
-        raise ValueError("u must lie in [0, 1)")
-    acc = 0.0
-    last = 0
-    for m in miners:
-        acc += m.power
-        if u < acc:
-            return m.id
-        last = m.id
-    return last  # float round-off on the final boundary
-
-
 class _Run:
     """Mutable state for one simulation run; also the chain view for cascades."""
 
@@ -144,15 +126,13 @@ class _Run:
         n = len(config.miners)
         self.n_miners = n
         self.selfish = [m.kind is MinerKind.SELFISH for m in config.miners]
-        self.honest_power = sum(m.power for m in config.miners if m.kind is MinerKind.HONEST)
-        self.powers = {m.id: m.power for m in config.miners}
 
         cum = []
         acc = 0.0
         for m in config.miners:
             acc += m.power
             cum.append(acc)
-        cum[-1] = 1.0
+        cum[-1] = 1.0  # lane 0 stays below 1.0, so bisect_right never passes the last miner
         self.cum_powers = cum
 
         if self.proto is ProtocolName.STRONGCHAIN:
@@ -198,12 +178,7 @@ class _Run:
 
     def do_adopt(self, att: AttackerState) -> None:
         dropped = att.blocks
-        att.blocks = []
-        att.units = 0
-        att.pending_count = 0
-        att.in_match = False
-        att.anchor_index = -1
-        att.anchor_bid = -1
+        att.reset()
         if self.proto is ProtocolName.FRUITCHAIN and (att.pending_fruits or dropped):
             # Own fruits from the abandoned branch stay mineable while the
             # block they point at is canonical; withheld blocks die.
@@ -219,8 +194,7 @@ class _Run:
     def do_override(self, att: AttackerState) -> None:
         """Replace the public suffix above the attacker's anchor with its branch."""
         if self.tie is not None:
-            self._clear_tie_flags()
-            self.tie = None
+            self._end_tie()
         anchor = att.anchor_index
         if self.pending_fruits:
             self.pending_fruits = [f for f in self.pending_fruits if f[2] <= anchor]
@@ -231,12 +205,7 @@ class _Run:
             self._reclaim_embedded(dead)
         self.pending_wh = [att.id] * att.pending_count
         self.public_units = self.chain[-1].cum + att.pending_count
-        att.blocks = []
-        att.units = 0
-        att.pending_count = 0
-        att.in_match = False
-        att.anchor_index = -1
-        att.anchor_bid = -1
+        att.reset()
 
     def do_match(self, att: AttackerState) -> None:
         """Publish the branch next to the equal-strength main line."""
@@ -278,12 +247,10 @@ class _Run:
 
     # -- tie helpers ------------------------------------------------------
 
-    def _clear_tie_flags(self) -> None:
+    def _end_tie(self) -> None:
+        """Close the tie and clear its released branches' match flags."""
         for alt in self.tie.alts:
             self.att_by_id[alt.owner].in_match = False
-
-    def _collapse_tie_main_wins(self) -> None:
-        self._clear_tie_flags()
         self.tie = None
 
     def _promote(self, alt: AltBranch) -> None:
@@ -298,21 +265,8 @@ class _Run:
         if dead:
             self._reclaim_embedded(dead)
         self.public_units = alt.units_abs
-        self._clear_tie_flags()
-        self.tie = None
-        owner = self.att_by_id[alt.owner]
-        owner.blocks = []
-        owner.units = 0
-        owner.pending_count = 0
-        owner.anchor_index = -1
-        owner.anchor_bid = -1
-
-    def tie_context(self) -> Optional[TieContext]:
-        if self.tie is None:
-            return None
-        owners = (self.tie.main_owner, *(alt.owner for alt in self.tie.alts))
-        weights = resolve_match_weights(owners, self.powers, self.honest_power, self.gamma)
-        return TieContext(owners=owners, weights=weights)
+        self._end_tie()
+        self.att_by_id[alt.owner].reset()
 
     def _choose_tie_branch(self, u: float) -> Optional[AltBranch]:
         """Honest leader's parent pick during a tie; None means the main line.
@@ -523,7 +477,7 @@ class _Run:
         if tie is None:
             return
         if self.public_units > tie.level:
-            self._collapse_tie_main_wins()
+            self._end_tie()
         elif self.public_units < tie.level:
             self._promote(tie.alts[0])
 
@@ -598,8 +552,6 @@ class _Run:
                     lane_tie = lanes.tie
 
             leader = bisect_right(cum_powers, lane_leader[i])
-            if leader >= self.n_miners:
-                leader = self.n_miners - 1
             heavy = True if is_nakamoto else lane_kind[i] < p_heavy
             actions = [] if collect else None
 

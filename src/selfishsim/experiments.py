@@ -14,7 +14,7 @@ points are swept alongside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,6 +83,12 @@ class SweepConfig:
             raise ConfigError("repeats must be >= 1")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
+
+    def key(self) -> tuple:
+        """Series key for thresholds.json: protocol, gamma, attacker count, rivals."""
+        if self.symmetric_attackers is not None:
+            return (self.protocol.value, self.gamma, self.symmetric_attackers)
+        return (self.protocol.value, self.gamma, 1 + len(self.fixed_rivals), self.fixed_rivals)
 
     def point_config(self, alpha: float) -> SimulationConfig:
         """The simulation config for one grid power."""
@@ -251,38 +257,21 @@ def bootstrap_ci(
     return float(lo), float(hi)
 
 
-def threshold_search(
-    cfg: SweepConfig,
-    refine: bool = True,
-    resamples: int = 10_000,
-    seed: int = 0,
-    on_result=None,
-) -> Tuple[list, ThresholdEstimate]:
+def threshold_search(cfg: SweepConfig, sweep=run_sweep) -> Tuple[list, ThresholdEstimate]:
     """Sweep the grid, then sharpen an interior bracket with its midpoint.
 
     The refinement reruns the estimator over the grid plus the bracket
     midpoint, halving the quantization of the reported threshold.
+    ``sweep`` maps a SweepConfig to its revenue points in grid order; it
+    runs both the grid and the one-point midpoint config.
     """
-    points = run_sweep(cfg, on_result=on_result)
-    estimate = estimate_threshold(points, resamples=resamples, seed=seed)
-    if not refine or estimate.threshold is None:
+    points = sweep(cfg)
+    estimate = estimate_threshold(points)
+    if estimate.threshold is None:
         return points, estimate
     b_lo, b_hi = estimate.bracket
-    if b_hi <= b_lo:
-        return points, estimate
     mid = round((b_lo + b_hi) / 2.0, 6)
-    if mid <= b_lo or mid >= b_hi:
+    if not b_lo < mid < b_hi:
         return points, estimate
-    mid_cfg = SweepConfig(
-        protocol=cfg.protocol,
-        alpha_grid=(mid,),
-        symmetric_attackers=cfg.symmetric_attackers,
-        fixed_rivals=cfg.fixed_rivals,
-        gamma=cfg.gamma,
-        repeats=cfg.repeats,
-        rounds=cfg.rounds,
-        master_seed=cfg.master_seed,
-        protocol_params=cfg.protocol_params,
-    )
-    merged = sorted(points + run_sweep(mid_cfg, on_result=on_result), key=lambda p: p.alpha)
-    return merged, estimate_threshold(merged, resamples=resamples, seed=seed)
+    merged = sorted(points + sweep(replace(cfg, alpha_grid=(mid,))), key=lambda p: p.alpha)
+    return merged, estimate_threshold(merged)

@@ -28,22 +28,6 @@ def quantum_units(params: FruitchainParams) -> int:
     return 2 * params.fruit_ratio
 
 
-def is_block(kind_uniform: float, fruit_ratio: int) -> bool:
-    """Artifact kind draw: block iff the uniform falls below 1/(fruit_ratio+1)."""
-    return kind_uniform < 1.0 / (fruit_ratio + 1)
-
-
-def is_fresh(embed_height: int, pointer_height: int, window: int) -> bool:
-    """A fruit is embeddable while the height gap stays within the window."""
-    return embed_height - pointer_height <= window
-
-
-def block_reward_share(params: FruitchainParams) -> float:
-    """Expected fraction of one block interval's reward paid to the block."""
-    total = params.block_reward + params.fruit_ratio * params.fruit_reward
-    return params.block_reward / total
-
-
 def tally_rewards(blocks, params: FruitchainParams, n_miners: int) -> list:
     """Rewards over the canonical chain; only embedded fruits pay.
 

@@ -129,11 +129,12 @@ def rows_from_result(result: SimulationResult) -> list:
     return rows
 
 
-def describe_digest(cfg: Union[SimulationConfig, SweepConfig]) -> str:
+def describe_digest(cfg: Union[SimulationConfig, SweepConfig, list]) -> str:
     """Hex digest identifying a config for the run manifest.
 
-    Simulation configs reuse the seed-derivation digest; sweeps hash
-    their canonical field repr, which covers the grid and every knob.
+    Simulation configs reuse the seed-derivation digest; sweeps, and the
+    list of sweeps a suite runs, hash their canonical field repr, which
+    covers the grid and every knob.
     """
     if isinstance(cfg, SimulationConfig):
         return f"{config_digest(cfg):016x}"

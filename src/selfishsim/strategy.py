@@ -1,4 +1,4 @@
-"""Withholding strategy: action rule, tie weights, cascading releases.
+"""Withholding strategy: action rule and cascading releases.
 
 The strategy reacts to public-chain strength changes.  Between reactions an
 attacker's private branch is never weaker than the public chain (it would
@@ -31,8 +31,8 @@ class AttackerState:
     with the public tip).  ``units`` is the withheld strength in protocol
     units.  ``pending_count`` holds unembedded private weak headers,
     ``pending_fruits`` unembedded private fruits as (pointer id, pointer
-    height) pairs.  After an adopt everything is reset and the branch is
-    empty.
+    height) pairs.  ``reset`` empties the branch after an adopt, a release
+    or a won tie.
     """
 
     id: int
@@ -49,17 +49,14 @@ class AttackerState:
     def floating(self) -> bool:
         return self.anchor_index < 0
 
-
-@dataclass
-class TieContext:
-    """Equal-strength public branches competing for the next extension.
-
-    ``owners`` lists one tag per branch (HONEST_BRANCH or an attacker id) in
-    the engine's branch order: main line first, released branches after.
-    """
-
-    owners: tuple
-    weights: tuple = ()
+    def reset(self) -> None:
+        """Drop the withheld branch and float again; pending fruits stay."""
+        self.blocks = []
+        self.units = 0
+        self.pending_count = 0
+        self.in_match = False
+        self.anchor_index = -1
+        self.anchor_bid = -1
 
 
 def decide_action(
@@ -87,43 +84,6 @@ def decide_action(
     if private_strength - public_strength <= quantum:
         return Action.OVERRIDE
     return Action.WAIT
-
-
-def resolve_match_weights(owners, powers, honest_power, gamma) -> tuple:
-    """Probability that each tied branch is the next one extended.
-
-    ``owners`` tags the branches (HONEST_BRANCH or attacker id), ``powers``
-    maps attacker id to relative power, ``honest_power`` is the aggregate
-    honest share.  A lone attacker against the honest branch wins the race
-    with its own power plus the fraction ``gamma`` of honest power that
-    mines on its side.  With several attacker branches the honest power
-    splits evenly over all branches.  Weights are normalised over the tie's
-    participants, so miners outside the tie (who keep mining privately)
-    do not appear.
-    """
-    owners = tuple(owners)
-    if len(owners) < 2:
-        raise ValueError("a tie needs at least two branches")
-    if len(set(owners)) != len(owners):
-        raise ValueError("duplicate branch owners in tie")
-    attacker_ids = [o for o in owners if o != HONEST_BRANCH]
-    honest_present = len(attacker_ids) != len(owners)
-    k = len(attacker_ids)
-    raw = []
-    if honest_present and k == 1:
-        for o in owners:
-            if o == HONEST_BRANCH:
-                raw.append((1.0 - gamma) * honest_power)
-            else:
-                raw.append(powers[o] + gamma * honest_power)
-    else:
-        split = honest_power / len(owners)
-        for o in owners:
-            raw.append(split if o == HONEST_BRANCH else powers[o] + split)
-    total = sum(raw)
-    if total <= 0:
-        raise ValueError("tie participants have no power")
-    return tuple(w / total for w in raw)
 
 
 def cascade_release(attackers, chain) -> list:

@@ -13,16 +13,6 @@ from __future__ import annotations
 from .config import StrongchainParams
 
 
-def is_strong(kind_uniform: float, ratio: int) -> bool:
-    """Artifact kind draw: strong iff the uniform falls below 1/(ratio+1)."""
-    return kind_uniform < 1.0 / (ratio + 1)
-
-
-def strength(units: int, ratio: int) -> float:
-    """Branch strength in strong-block equivalents from integer units."""
-    return units / ratio
-
-
 def tally_rewards(blocks, tip_pending, params: StrongchainParams, n_miners: int) -> list:
     """Rewards over the canonical chain plus the pending headers at its tip."""
     per_weak = 1.0 / params.ratio

@@ -50,10 +50,7 @@ class ThresholdCell:
 
     def key(self) -> tuple:
         """Series key for thresholds.json."""
-        cfg = self.sweep
-        if cfg.symmetric_attackers is not None:
-            return (cfg.protocol.value, cfg.gamma, cfg.symmetric_attackers)
-        return (cfg.protocol.value, cfg.gamma, 1 + len(cfg.fixed_rivals), cfg.fixed_rivals)
+        return self.sweep.key()
 
 
 def _cell(name, proto, k, gamma, grid, band, master_seed) -> ThresholdCell:

@@ -7,17 +7,15 @@ whole gate is reproducible bit for bit.
 """
 
 import json
-import random
 
 import pytest
 
-from conftest import record_acceptance
+from conftest import record_acceptance, tie_branch_shares
 from markov_oracle import closed_form_revenue, stationary_revenue
 import selfishsim.cli as cli
 from selfishsim.config import ProtocolName, symmetric_attacker_config
 from selfishsim.engine import run_simulation
 from selfishsim.experiments import estimate_threshold, run_sweep
-from selfishsim.strategy import HONEST_BRANCH, resolve_match_weights
 from selfishsim.suite import (
     FRUIT_GAMMA_GAP_MAX,
     FRUIT_GAMMA_PAIR,
@@ -262,20 +260,16 @@ def test_c8_structural_invariants():
         if any(r < 0 for r in res.rewards):
             problems.append(f"{proto.value} negative reward")
 
-    # tie weights stay a distribution under 1000 random draws
-    r = random.Random(0)
-    for _ in range(1000):
-        k = r.randint(1, 4)
-        owners = [HONEST_BRANCH] + list(range(k))
-        raw = [r.random() + 0.01 for _ in range(k)]
-        honest = r.random() + 0.01
-        scale = sum(raw) + honest
-        w = resolve_match_weights(
-            tuple(owners), {i: raw[i] / scale for i in range(k)}, honest / scale, r.random()
-        )
-        if abs(sum(w) - 1.0) > 1e-9 or any(x < 0 for x in w):
-            problems.append(f"tie weights degenerate: {w}")
-            break
+    # the engine's honest tie-branch choice follows gamma for a lone
+    # attacker against the honest main line and splits evenly otherwise
+    for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
+        shares = tie_branch_shares(gamma, 1)
+        if abs(shares[1] - gamma) > 0.01:
+            problems.append(f"lone-attacker tie at gamma {gamma}: {shares}")
+    for n_alts in (2, 3, 4):
+        shares = tie_branch_shares(0.5, n_alts)
+        if any(abs(x - 1.0 / (1 + n_alts)) > 0.01 for x in shares):
+            problems.append(f"{n_alts}-branch tie: {shares}")
 
     # cascade settling under heavy multi-attacker pressure terminates
     cfg = symmetric_attacker_config(
@@ -287,7 +281,7 @@ def test_c8_structural_invariants():
 
     ok = not problems
     line = (
-        "C8 invariants (conservation, tie-weight normalisation, cascade settling)"
+        "C8 invariants (conservation, tie-branch choice, cascade settling)"
         f" -> {'PASS' if ok else 'FAIL: ' + '; '.join(problems)}"
     )
     record_acceptance(line)

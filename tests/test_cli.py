@@ -1,6 +1,8 @@
 """CLI verbs end to end: output files, exit codes, stderr shape."""
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -88,6 +90,20 @@ def test_sweep_jobs_do_not_change_outputs(tmp_path):
         assert a == b
 
 
+def test_jobs_clamp_to_tasks_and_cpus():
+    # computed, never spawned: a pool starts every worker it is given
+    assert cli._workers(10**6, 17) <= (os.cpu_count() or 1)
+    assert cli._workers(3, 1) == 1
+    with pytest.raises(cli.ConfigError):
+        cli._workers(0, 5)
+
+
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys):
+    rc = cli.main(["sweep", "--config", _cfg_file(tmp_path, SWEEP), "--jobs", "0"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_verb_config_mismatch_is_a_usage_error(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", _cfg_file(tmp_path, SWEEP)])
     err = capsys.readouterr().err
@@ -133,6 +149,21 @@ def test_threshold_suite_pass_and_fail(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert "OUT OF BAND" in captured.out
     assert json.loads(captured.err)["error"] == "band-mismatch"
+
+
+def test_threshold_suite_jobs_do_not_change_outputs(tmp_path, monkeypatch):
+    def two_cells(master_seed):
+        (cell,) = _fake_cells((0.2, 0.3))
+        g0 = dataclasses.replace(cell, name="probe-g0", sweep=dataclasses.replace(cell.sweep, gamma=0.0))
+        return [cell, g0]
+
+    monkeypatch.setattr(cli, "table_cells", two_cells)
+    cli.main(["threshold-suite", "--out", str(tmp_path / "one")])
+    cli.main(["threshold-suite", "--out", str(tmp_path / "two"), "--jobs", "2"])
+    for name in ("results.csv", "thresholds.json"):
+        a = (tmp_path / "one" / name).read_bytes()
+        b = (tmp_path / "two" / name).read_bytes()
+        assert a == b
 
 
 def test_module_entry_point_runs(tmp_path):

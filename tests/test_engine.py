@@ -12,7 +12,7 @@ from selfishsim.config import (
     ProtocolName,
     SimulationConfig,
 )
-from selfishsim.engine import run_simulation, select_leader
+from selfishsim.engine import run_simulation
 from selfishsim.rng import stream_uniforms
 
 THREE_MINERS = (
@@ -22,25 +22,27 @@ THREE_MINERS = (
 )
 
 
-def test_select_leader_interval_boundaries():
-    picks = [select_leader(THREE_MINERS, u) for u in (0.0, 0.19999, 0.2, 0.49, 0.5, 0.999)]
-    assert picks == [0, 0, 1, 1, 2, 2]
-
-
-def test_select_leader_rejects_out_of_range_draws():
-    with pytest.raises(ValueError):
-        select_leader(THREE_MINERS, 1.0)
-    with pytest.raises(ValueError):
-        select_leader(THREE_MINERS, -0.01)
-
-
-def test_select_leader_frequencies_track_power():
-    u = stream_uniforms(99, 20_000)
+def test_leader_owns_its_power_interval():
+    # Miner i owns the half-open interval [sum of powers below i, plus its
+    # own power) of the leader lane (lane 0 of every three draws).
+    rounds = 20_000
+    cfg = SimulationConfig(
+        protocol=ProtocolName.NAKAMOTO,
+        miners=THREE_MINERS,
+        gamma=0.5,
+        end_condition=EndCondition(round_budget=rounds),
+        master_seed=99,
+    )
+    res = run_simulation(cfg, collect_records=True)
+    lane0 = stream_uniforms(res.run_seed, 3 * rounds)[0::3].tolist()
+    bounds = [(0.0, 0.2), (0.2, 0.5), (0.5, 1.0)]
     counts = [0, 0, 0]
-    for x in u.tolist():
-        counts[select_leader(THREE_MINERS, x)] += 1
+    for rec, u in zip(res.records, lane0):
+        lo, hi = bounds[rec.leader]
+        assert lo <= u < hi
+        counts[rec.leader] += 1
     for m, c in zip(THREE_MINERS, counts):
-        assert c / 20_000 == pytest.approx(m.power, abs=0.01)
+        assert c / rounds == pytest.approx(m.power, abs=0.01)
 
 
 def test_runs_are_deterministic():

@@ -118,8 +118,22 @@ def test_threshold_search_refines_with_bracket_midpoint():
     points, est = threshold_search(_tiny_sweep())
     assert 0.25 in [p.alpha for p in points]
     assert est.bracket[0] >= 0.2 and est.bracket[1] <= 0.3
-    coarse_points, _ = threshold_search(_tiny_sweep(), refine=False)
+    coarse_points = run_sweep(_tiny_sweep())
     assert [p.alpha for p in coarse_points] == [0.2, 0.3]
+    assert estimate_threshold(coarse_points).bracket == (0.2, 0.3)
+    assert [p for p in points if p.alpha != 0.25] == coarse_points
+
+
+def test_threshold_search_runs_grid_and_midpoint_through_sweep():
+    seen = []
+
+    def sweep(cfg):
+        seen.append(cfg)
+        return run_sweep(cfg)
+
+    points, est = threshold_search(_tiny_sweep(), sweep)
+    assert seen == [_tiny_sweep(), dataclasses.replace(_tiny_sweep(), alpha_grid=(0.25,))]
+    assert (points, est) == threshold_search(_tiny_sweep())
 
 
 def test_sweep_config_validation():

@@ -1,16 +1,20 @@
-"""Per-protocol rules: artifact sampling, strength, reward arithmetic."""
+"""Per-protocol rules: artifact sampling, freshness, reward arithmetic."""
 
 import pytest
 
+from conftest import quick_config
 from selfishsim import fruitchain, nakamoto, strongchain
 from selfishsim.config import (
     FruitchainParams,
+    ProtocolName,
     StrongchainParams,
     balanced_fruit_params,
     fruit_heavy_params,
 )
-from selfishsim.engine import Block
+from selfishsim.engine import Block, _Run, run_simulation
 from selfishsim.rng import stream_uniforms
+
+HEAVY_KIND = {"strongchain": "strong", "fruitchain": "block"}
 
 
 def test_nakamoto_one_reward_per_block():
@@ -19,31 +23,29 @@ def test_nakamoto_one_reward_per_block():
     assert nakamoto.QUANTUM_UNITS == 1
 
 
+def _heavy_draws(protocol):
+    """(record says heavy, lane-1 uniform) per round of a 50k-round run."""
+    rounds = 50_000
+    res = run_simulation(quick_config(protocol, rounds=rounds, seed=3), collect_records=True)
+    lane1 = stream_uniforms(res.run_seed, 3 * rounds)[1::3].tolist()
+    return [(rec.kind == HEAVY_KIND[protocol], u) for rec, u in zip(res.records, lane1)]
+
+
 def test_strong_draw_boundary():
-    p = 1.0 / 11.0
-    assert strongchain.is_strong(p - 1e-12, 10)
-    assert not strongchain.is_strong(p, 10)
+    # ratio 10: a round mines a strong block iff its kind uniform < 1/11
+    assert all(heavy == (u < 1.0 / 11.0) for heavy, u in _heavy_draws("strongchain"))
 
 
 def test_block_draw_boundary():
-    p = 1.0 / 11.0
-    assert fruitchain.is_block(p - 1e-12, 10)
-    assert not fruitchain.is_block(p, 10)
+    # fruit_ratio 10: a round mines a block iff its kind uniform < 1/11
+    assert all(heavy == (u < 1.0 / 11.0) for heavy, u in _heavy_draws("fruitchain"))
 
 
-@pytest.mark.parametrize("pred", [
-    lambda u: strongchain.is_strong(u, 10),
-    lambda u: fruitchain.is_block(u, 10),
-], ids=["strongchain", "fruitchain"])
-def test_heavy_artifact_frequency(pred):
-    u = stream_uniforms(3, 50_000)
-    freq = sum(1 for x in u.tolist() if pred(x)) / 50_000
+@pytest.mark.parametrize("protocol", ["strongchain", "fruitchain"])
+def test_heavy_artifact_frequency(protocol):
+    draws = _heavy_draws(protocol)
+    freq = sum(heavy for heavy, _ in draws) / len(draws)
     assert freq == pytest.approx(1.0 / 11.0, abs=0.004)
-
-
-def test_strongchain_strength_units():
-    assert strongchain.strength(25, 10) == 2.5
-    assert strongchain.strength(0, 10) == 0.0
 
 
 def test_strongchain_reward_arithmetic():
@@ -56,9 +58,21 @@ def test_strongchain_reward_arithmetic():
     assert sum(rewards) == pytest.approx(2 + 5 * 0.1)
 
 
+def _mine_block_over_fruit(chain_height, pointer_height):
+    """Honest block mined at ``chain_height`` over one pending fruit."""
+    run = _Run(quick_config("fruitchain"), 0, collect_records=False)
+    run.chain = [Block(h, h - 1, 10 * h) for h in range(chain_height)]
+    run.pending_fruits = [(1, pointer_height, pointer_height)]
+    run._mine_main(0, True, ProtocolName.FRUITCHAIN)
+    assert run.pending_fruits == []
+    return run.chain[-1].emb
+
+
 def test_fruit_freshness_boundary():
-    assert fruitchain.is_fresh(11, 1, 10)
-    assert not fruitchain.is_fresh(12, 1, 10)
+    window = balanced_fruit_params().freshness_window
+    h = 3
+    assert _mine_block_over_fruit(h + window, h) == [(1, h, h)]
+    assert _mine_block_over_fruit(h + window + 1, h) == []
 
 
 def test_fruitchain_reward_arithmetic():
@@ -85,5 +99,8 @@ def test_fruit_quantum_covers_block_plus_flush():
 
 
 def test_reward_split_presets():
-    assert fruitchain.block_reward_share(balanced_fruit_params()) == pytest.approx(0.5)
-    assert fruitchain.block_reward_share(fruit_heavy_params()) == pytest.approx(1 / 11)
+    # one block embedding fruit_ratio fruits carries a full interval's reward
+    for params, block_share in ((balanced_fruit_params(), 0.5), (fruit_heavy_params(), 1 / 11)):
+        fruits = [(1, 0, 0)] * params.fruit_ratio
+        rewards = fruitchain.tally_rewards([Block(1, 0, 20, emb=fruits)], params, 2)
+        assert rewards[0] / sum(rewards) == pytest.approx(block_share)

@@ -1,16 +1,16 @@
-"""Action rule, tie weights, and cascade settling on a scripted chain."""
+"""Action rule, the engine's tie-branch choice, and cascade settling on a scripted chain."""
 
 import random
 
 import pytest
 
+from conftest import tie_branch_shares
 from selfishsim.strategy import (
     HONEST_BRANCH,
     Action,
     AttackerState,
     cascade_release,
     decide_action,
-    resolve_match_weights,
 )
 
 
@@ -42,46 +42,43 @@ def test_decide_action_validation():
         decide_action(1, 1, True, quantum=0)
 
 
+# Honest leaders pick a tied branch with the tie lane's uniform.  A lone
+# attacker against the honest main line gets the fraction gamma of those
+# picks; any other tie splits them evenly over all branches.
+
+
 def test_match_weights_full_tiebreak_hands_race_to_attacker():
-    w = resolve_match_weights((HONEST_BRANCH, 0), {0: 0.3}, 0.7, 1.0)
-    assert w == pytest.approx((0.0, 1.0))
+    assert tie_branch_shares(1.0, 1) == [0.0, 1.0]
 
 
 def test_match_weights_zero_tiebreak():
-    w = resolve_match_weights((HONEST_BRANCH, 0), {0: 0.3}, 0.7, 0.0)
-    assert w == pytest.approx((0.7, 0.3))
+    assert tie_branch_shares(0.0, 1) == [1.0, 0.0]
+
+
+def test_match_weights_half_tiebreak():
+    assert tie_branch_shares(0.5, 1) == pytest.approx([0.5, 0.5], abs=0.01)
 
 
 def test_match_weights_multiway_split():
-    # Honest power splits evenly over three branches.
-    w = resolve_match_weights((HONEST_BRANCH, 0, 1), {0: 0.2, 1: 0.3}, 0.5, 0.5)
-    third = 0.5 / 3
-    assert w == pytest.approx((third, 0.2 + third, 0.3 + third))
+    # two released branches against the main line: thirds, whatever gamma
+    for gamma in (0.0, 1.0):
+        assert tie_branch_shares(gamma, 2) == pytest.approx([1 / 3] * 3, abs=0.01)
 
 
 def test_match_weights_normalise_over_random_draws():
     r = random.Random(0)
-    for _ in range(1000):
-        k = r.randint(1, 4)
-        include_honest = r.random() < 0.5 or k == 1
-        owners = list(range(k)) + ([HONEST_BRANCH] if include_honest else [])
-        if len(owners) < 2:
-            owners = [HONEST_BRANCH, 0]
-        r.shuffle(owners)
-        raw = [r.random() + 0.01 for _ in range(k)]
-        honest = r.random() + 0.01
-        scale = sum(raw) + honest
-        powers = {i: raw[i] / scale for i in range(k)}
-        w = resolve_match_weights(tuple(owners), powers, honest / scale, r.random())
-        assert sum(w) == pytest.approx(1.0, abs=1e-12)
-        assert all(x >= 0.0 for x in w)
-
-
-def test_match_weights_validation():
-    with pytest.raises(ValueError):
-        resolve_match_weights((HONEST_BRANCH,), {}, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        resolve_match_weights((0, 0), {0: 0.5}, 0.5, 0.5)
+    for _ in range(20):
+        n_alts = r.randint(1, 3)
+        gamma = r.random()
+        attacker_main = r.random() < 0.5
+        main_owner = n_alts if attacker_main else HONEST_BRANCH
+        shares = tie_branch_shares(gamma, n_alts, main_owner=main_owner, draws=5000, seed=r.randrange(2**32))
+        if n_alts == 1 and not attacker_main:
+            expected = [1.0 - gamma, gamma]
+        else:
+            expected = [1.0 / (1 + n_alts)] * (1 + n_alts)
+        assert shares == pytest.approx(expected, abs=0.025)
+        assert sum(shares) == pytest.approx(1.0, abs=1e-12)
 
 
 class ScriptedChain:
