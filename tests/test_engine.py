@@ -22,27 +22,40 @@ THREE_MINERS = (
 )
 
 
-def test_leader_owns_its_power_interval():
-    # Miner i owns the half-open interval [sum of powers below i, plus its
-    # own power) of the leader lane (lane 0 of every three draws).
-    rounds = 20_000
+LEADER_ROUNDS = 20_000
+
+
+def _leader_run():
+    """Leaders of an honest three-miner run, paired with their lane-0 draws."""
     cfg = SimulationConfig(
         protocol=ProtocolName.NAKAMOTO,
         miners=THREE_MINERS,
         gamma=0.5,
-        end_condition=EndCondition(round_budget=rounds),
+        end_condition=EndCondition(round_budget=LEADER_ROUNDS),
         master_seed=99,
     )
     res = run_simulation(cfg, collect_records=True)
-    lane0 = stream_uniforms(res.run_seed, 3 * rounds)[0::3].tolist()
+    # The leader lane is lane 0 of every three draws.
+    lane0 = stream_uniforms(res.run_seed, 3 * LEADER_ROUNDS)[0::3].tolist()
+    assert len(res.records) == LEADER_ROUNDS
+    return [(rec.leader, u) for rec, u in zip(res.records, lane0)]
+
+
+def test_select_leader_interval_boundaries():
+    # Miner i owns the half-open interval [sum of powers below i, plus its
+    # own power) of the leader lane.
     bounds = [(0.0, 0.2), (0.2, 0.5), (0.5, 1.0)]
-    counts = [0, 0, 0]
-    for rec, u in zip(res.records, lane0):
-        lo, hi = bounds[rec.leader]
+    for leader, u in _leader_run():
+        lo, hi = bounds[leader]
         assert lo <= u < hi
-        counts[rec.leader] += 1
+
+
+def test_select_leader_frequencies_track_power():
+    counts = [0, 0, 0]
+    for leader, _ in _leader_run():
+        counts[leader] += 1
     for m, c in zip(THREE_MINERS, counts):
-        assert c / rounds == pytest.approx(m.power, abs=0.01)
+        assert c / LEADER_ROUNDS == pytest.approx(m.power, abs=0.01)
 
 
 def test_runs_are_deterministic():
