@@ -17,14 +17,18 @@ strictly greater strength.
 
 Determinism: a run is a pure function of (config, master seed, run index).
 All draws come from the documented counter-based stream in rng.py, three
-lanes per round: leader, artifact kind, tie branch choice.
+lanes per round: leader, artifact kind, tie branch choice.  The run draws
+them in chunks of ``CHUNK`` rounds and decodes each chunk's leaders and
+artifact kinds in one vector step, so lane memory stays bounded however
+long the run is, and the draws are those of one whole-run stream.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from . import fruitchain, nakamoto, strongchain
 from .config import (
@@ -35,8 +39,10 @@ from .config import (
     StrongchainParams,
     config_digest,
 )
-from .rng import RoundLanes, derive_run_seed
+from .rng import RoundLanes, derive_run_seed, lane_seed
 from .strategy import HONEST_BRANCH, Action, AttackerState, cascade_release
+
+CHUNK = 1 << 16  # rounds of lanes drawn and decoded at a time
 
 
 class Block:
@@ -132,7 +138,7 @@ class _Run:
         for m in config.miners:
             acc += m.power
             cum.append(acc)
-        cum[-1] = 1.0  # lane 0 stays below 1.0, so bisect_right never passes the last miner
+        cum[-1] = 1.0  # lane 0 stays below 1.0, so searchsorted never passes the last miner
         self.cum_powers = cum
 
         if self.proto is ProtocolName.STRONGCHAIN:
@@ -515,17 +521,8 @@ class _Run:
         config = self.config
         digest = config_digest(config)
         run_seed = derive_run_seed(config.master_seed, self.run_index, digest)
-        budget = config.end_condition.round_budget
+        limit = config.end_condition.round_budget
         target = config.end_condition.target_height
-        if budget is not None:
-            lanes = RoundLanes(run_seed, budget)
-            limit = budget
-        else:
-            lanes = RoundLanes(run_seed, 4096)
-            limit = None
-        lane_leader = lanes.leader
-        lane_kind = lanes.kind
-        lane_tie = lanes.tie
 
         proto = self.proto
         is_nakamoto = proto is ProtocolName.NAKAMOTO
@@ -537,81 +534,76 @@ class _Run:
         collect = self.collect
 
         i = 0
-        while True:
-            if limit is not None:
-                if i >= limit:
-                    break
-            else:
-                if self._max_height() >= target:
-                    break
-                if i >= len(lane_leader):
-                    grown = RoundLanes(run_seed, 2 * (i + 1))
-                    lanes = grown
-                    lane_leader = lanes.leader
-                    lane_kind = lanes.kind
-                    lane_tie = lanes.tie
+        while limit is None or i < limit:
+            first = i
+            n = CHUNK if limit is None else min(CHUNK, limit - first)
+            lanes = RoundLanes(lane_seed(run_seed, first), n)
+            leaders = np.searchsorted(cum_powers, lanes.leader, side="right").tolist()
+            heavies = [True] * n if is_nakamoto else (lanes.kind < p_heavy).tolist()
+            lane_tie = lanes.tie
+            for leader, heavy in zip(leaders, heavies):
+                actions = [] if collect else None
 
-            leader = bisect_right(cum_powers, lane_leader[i])
-            heavy = True if is_nakamoto else lane_kind[i] < p_heavy
-            actions = [] if collect else None
-
-            if selfish[leader]:
-                att = att_by_id[leader]
-                tie = self.tie
-                if att.in_match:
-                    alt = next(b for b in tie.alts if b.owner == leader)
-                    advance = self._extend_alt(alt, leader, heavy, proto, own=True)
-                    if advance:
-                        if collect:
-                            actions.append((leader, Action.OVERRIDE))
-                        acts = cascade_release(attackers, self)
-                        if collect:
-                            actions.extend(acts)
-                elif tie is not None and tie.main_owner == leader:
-                    advance = self._mine_main_as_attacker(att, heavy, proto)
-                    if advance:
-                        self._settle_tie_after_main_change()
-                        acts = cascade_release(attackers, self)
-                        if collect:
-                            actions.append((leader, Action.OVERRIDE))
-                            actions.extend(acts)
-                else:
-                    self._mine_private(att, heavy, proto)
-                    if collect:
-                        actions.append((leader, Action.WAIT))
-            else:
-                tie = self.tie
-                if tie is not None:
-                    alt = self._choose_tie_branch(lane_tie[i])
-                    if alt is None:
-                        advance = self._mine_main(leader, heavy, proto)
+                if selfish[leader]:
+                    att = att_by_id[leader]
+                    tie = self.tie
+                    if att.in_match:
+                        alt = next(b for b in tie.alts if b.owner == leader)
+                        advance = self._extend_alt(alt, leader, heavy, proto, own=True)
+                        if advance:
+                            if collect:
+                                actions.append((leader, Action.OVERRIDE))
+                            acts = cascade_release(attackers, self)
+                            if collect:
+                                actions.extend(acts)
+                    elif tie is not None and tie.main_owner == leader:
+                        advance = self._mine_main_as_attacker(att, heavy, proto)
                         if advance:
                             self._settle_tie_after_main_change()
                             acts = cascade_release(attackers, self)
                             if collect:
+                                actions.append((leader, Action.OVERRIDE))
                                 actions.extend(acts)
                     else:
-                        advance = self._extend_alt(alt, leader, heavy, proto, own=False)
+                        self._mine_private(att, heavy, proto)
+                        if collect:
+                            actions.append((leader, Action.WAIT))
+                else:
+                    tie = self.tie
+                    if tie is not None:
+                        alt = self._choose_tie_branch(lane_tie[i - first])
+                        if alt is None:
+                            advance = self._mine_main(leader, heavy, proto)
+                            if advance:
+                                self._settle_tie_after_main_change()
+                                acts = cascade_release(attackers, self)
+                                if collect:
+                                    actions.extend(acts)
+                        else:
+                            advance = self._extend_alt(alt, leader, heavy, proto, own=False)
+                            if advance:
+                                acts = cascade_release(attackers, self)
+                                if collect:
+                                    actions.extend(acts)
+                    else:
+                        advance = self._mine_main(leader, heavy, proto)
                         if advance:
                             acts = cascade_release(attackers, self)
                             if collect:
                                 actions.extend(acts)
-                else:
-                    advance = self._mine_main(leader, heavy, proto)
-                    if advance:
-                        acts = cascade_release(attackers, self)
-                        if collect:
-                            actions.extend(acts)
 
-            if collect:
-                if is_nakamoto:
-                    kind_name = "block"
-                elif proto is ProtocolName.STRONGCHAIN:
-                    kind_name = "strong" if heavy else "weak"
-                else:
-                    kind_name = "block" if heavy else "fruit"
-                self.records.append(RoundRecord(i, leader, kind_name, tuple(actions)))
-            i += 1
+                if collect:
+                    if is_nakamoto:
+                        kind_name = "block"
+                    elif proto is ProtocolName.STRONGCHAIN:
+                        kind_name = "strong" if heavy else "weak"
+                    else:
+                        kind_name = "block" if heavy else "fruit"
+                    self.records.append(RoundRecord(i, leader, kind_name, tuple(actions)))
+                i += 1
+                if target is not None and self._max_height() >= target:
+                    limit = i  # the run ends here; no further chunk is drawn
+                    break
 
         self._settle_final()
         return self._result(run_seed, i)

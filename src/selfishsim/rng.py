@@ -17,6 +17,11 @@ Draws are laid out in fixed lanes, three per round:
 Round ``i`` owns stream offsets ``3*i .. 3*i+2``.  Lanes are allocated
 unconditionally so that the mapping from round index to stream position
 never depends on simulation state.
+
+Because the generator is a counter, any stretch of rounds can be drawn on
+its own: output ``t`` of seed ``lane_seed(s, r)`` is output ``3*r + t`` of
+seed ``s``.  A run that draws its lanes chunk by chunk therefore reads
+exactly the draws of one whole-run stream.
 """
 
 from __future__ import annotations
@@ -75,15 +80,20 @@ def stream_uniforms(seed: int, count: int) -> np.ndarray:
     return (x >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-class RoundLanes:
-    """Per-round uniforms for one run, indexable by lane.
+def lane_seed(seed: int, first_round: int) -> int:
+    """Seed whose lanes start at round ``first_round`` of ``seed``'s lanes."""
+    return (seed + LANES_PER_ROUND * first_round * _GOLDEN) & _MASK
 
-    Materialises the whole stream up front (three lanes per round) and
-    exposes each lane as a plain list for cheap indexing in the round loop.
+
+class RoundLanes:
+    """Uniforms of ``rounds`` consecutive rounds, one numpy view per lane.
+
+    ``RoundLanes(lane_seed(s, r), n)`` holds rounds ``r .. r+n-1`` of the
+    run with seed ``s``, so a run draws its lanes one chunk at a time.
     """
 
     def __init__(self, run_seed: int, rounds: int):
         flat = stream_uniforms(run_seed, rounds * LANES_PER_ROUND)
-        self.leader = flat[LANE_LEADER::LANES_PER_ROUND].tolist()
-        self.kind = flat[LANE_KIND::LANES_PER_ROUND].tolist()
-        self.tie = flat[LANE_TIE::LANES_PER_ROUND].tolist()
+        self.leader = flat[LANE_LEADER::LANES_PER_ROUND]
+        self.kind = flat[LANE_KIND::LANES_PER_ROUND]
+        self.tie = flat[LANE_TIE::LANES_PER_ROUND]

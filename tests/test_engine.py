@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from conftest import quick_config
+from selfishsim import engine
 from selfishsim.config import (
     EndCondition,
     MinerKind,
@@ -12,7 +13,7 @@ from selfishsim.config import (
     ProtocolName,
     SimulationConfig,
 )
-from selfishsim.engine import run_simulation
+from selfishsim.engine import _Run, run_simulation
 from selfishsim.rng import stream_uniforms
 
 THREE_MINERS = (
@@ -158,3 +159,93 @@ def test_multi_attacker_run_completes_under_pressure():
     res = run_simulation(cfg)
     assert sum(res.revenues) == pytest.approx(1.0, abs=1e-9)
     assert res.chain_blocks > 0
+
+
+# -- lanes drawn in chunks -------------------------------------------------
+
+SMALL_CHUNK = 97  # odd, so chunk starts drift against every round pattern
+
+
+def _outcome(res):
+    return res.rounds, res.chain_blocks, res.rewards, res.revenues
+
+
+@pytest.mark.parametrize("attackers", [1, 3])
+@pytest.mark.parametrize("protocol", ["nakamoto", "strongchain", "fruitchain"])
+def test_small_chunks_give_the_same_run(monkeypatch, protocol, attackers):
+    alpha = 0.3 if attackers == 1 else 0.15
+    cfg = quick_config(protocol, alpha=alpha, gamma=0.5, rounds=4000, seed=28, attackers=attackers)
+    want = run_simulation(cfg)
+    monkeypatch.setattr(engine, "CHUNK", SMALL_CHUNK)
+    assert _outcome(run_simulation(cfg)) == _outcome(want)
+
+
+def test_small_chunks_give_the_same_target_height_run(monkeypatch):
+    cfg = quick_config("fruitchain", alpha=0.3, seed=5)
+    cfg = dataclasses.replace(cfg, end_condition=EndCondition(target_height=300))
+    want = run_simulation(cfg)
+    monkeypatch.setattr(engine, "CHUNK", SMALL_CHUNK)
+    got = run_simulation(cfg)
+    assert got.rounds > SMALL_CHUNK
+    assert _outcome(got) == _outcome(want)
+
+
+def test_small_chunks_give_the_same_records(monkeypatch):
+    cfg = quick_config("nakamoto", alpha=0.15, gamma=0.5, rounds=4000, seed=28, attackers=3)
+    want = run_simulation(cfg, collect_records=True)
+    # Rounds (completed so far) at which an honest leader read the tie lane.
+    tie_reads = []
+    choose = _Run._choose_tie_branch
+
+    def recording_choose(self, u):
+        tie_reads.append(len(self.records))
+        return choose(self, u)
+
+    monkeypatch.setattr(_Run, "_choose_tie_branch", recording_choose)
+    monkeypatch.setattr(engine, "CHUNK", SMALL_CHUNK)
+    got = run_simulation(cfg, collect_records=True)
+    assert any(i % SMALL_CHUNK == 0 for i in tie_reads)  # a tie spans a chunk start
+    assert _outcome(got) == _outcome(want)
+    assert got.records == want.records
+
+
+class _StopRun(Exception):
+    pass
+
+
+def _record_lane_requests(monkeypatch, stop=False):
+    """Replace the engine's lane source with one that logs each request."""
+    requests = []
+    draw = engine.RoundLanes
+
+    def recorder(seed, rounds):
+        requests.append(rounds)
+        if stop:
+            raise _StopRun
+        return draw(seed, rounds)
+
+    monkeypatch.setattr(engine, "RoundLanes", recorder)
+    return requests
+
+
+def test_huge_budget_draws_one_chunk_at_a_time(monkeypatch):
+    requests = _record_lane_requests(monkeypatch, stop=True)
+    with pytest.raises(_StopRun):
+        run_simulation(quick_config("nakamoto", rounds=10**12))
+    assert requests == [engine.CHUNK]
+
+
+def test_budget_is_drawn_in_whole_chunks_and_a_remainder(monkeypatch):
+    requests = _record_lane_requests(monkeypatch)
+    res = run_simulation(quick_config("nakamoto", rounds=2 * engine.CHUNK + 5))
+    assert requests == [engine.CHUNK, engine.CHUNK, 5]
+    assert res.rounds == 2 * engine.CHUNK + 5
+
+
+def test_target_height_draws_less_than_one_spare_chunk(monkeypatch):
+    requests = _record_lane_requests(monkeypatch)
+    cfg = quick_config("fruitchain", alpha=0.38, gamma=0.0, seed=3)
+    cfg = dataclasses.replace(cfg, end_condition=EndCondition(target_height=9000))
+    res = run_simulation(cfg)
+    assert res.rounds > engine.CHUNK
+    assert sum(requests) < res.rounds + engine.CHUNK

@@ -9,6 +9,7 @@ from selfishsim.rng import (
     LANES_PER_ROUND,
     RoundLanes,
     derive_run_seed,
+    lane_seed,
     mix64,
     stream_uniforms,
 )
@@ -63,6 +64,17 @@ def test_derive_run_seed_rejects_negative_index():
 def test_lane_layout_is_strided():
     lanes = RoundLanes(9, 50)
     flat = stream_uniforms(9, 50 * LANES_PER_ROUND)
-    assert lanes.leader == flat[LANE_LEADER::LANES_PER_ROUND].tolist()
-    assert lanes.kind == flat[LANE_KIND::LANES_PER_ROUND].tolist()
-    assert lanes.tie == flat[LANE_TIE::LANES_PER_ROUND].tolist()
+    assert lanes.leader.tolist() == flat[LANE_LEADER::LANES_PER_ROUND].tolist()
+    assert lanes.kind.tolist() == flat[LANE_KIND::LANES_PER_ROUND].tolist()
+    assert lanes.tie.tolist() == flat[LANE_TIE::LANES_PER_ROUND].tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 123456789, MASK])
+def test_lane_seed_continues_the_stream(seed):
+    # r is large enough that seed + 3 * r * GOLDEN wraps past 2**64.
+    r, n = 1000, 40
+    assert seed + 3 * r * GOLDEN > MASK
+    assert 0 <= lane_seed(seed, r) <= MASK
+    assert stream_uniforms(lane_seed(seed, r), 3 * n).tolist() == (
+        stream_uniforms(seed, 3 * (r + n))[3 * r:].tolist()
+    )
