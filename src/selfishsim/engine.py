@@ -9,11 +9,19 @@ rival's.
 
 Chain strength is tracked in integer protocol units (one per block; the
 weak-header protocol counts a weak header as one unit and a strong block
-as ``ratio`` units) so all comparisons are exact.  The canonical chain is a
-block list mutated only near its tip; a released branch replaces the
-suffix above the releaser's fork anchor.  During a tie the equal-strength
-released branches are kept alongside the main line until one side gains
-strictly greater strength.
+as ``ratio`` units) so all comparisons are exact.  A released branch
+replaces the suffix above the releaser's fork anchor.  During a tie the
+equal-strength released branches are kept alongside the main line until one
+side gains strictly greater strength.
+
+Heights are absolute; the run holds only the live suffix of the canonical
+chain, ``chain[h - base]`` being the block at height ``h``.  At each chunk
+start, blocks below the lowest live anchor (a withheld or open tie branch's,
+else the tip; fruitchain keeps ``freshness_window - 1`` more) are folded into
+per-miner reward totals and dropped: anchors are only taken at the tip, so no
+release can replace them, and a fruit pointing below ``base`` is stale for
+every block to come.  Folding tallies in chain order, so each miner's float
+sum gets its terms in the same order and rewards stay bit-identical.
 
 Determinism: a run is a pure function of (config, master seed, run index).
 All draws come from the documented counter-based stream in rng.py, three
@@ -111,7 +119,7 @@ class SimulationResult:
     rewards: list
     revenues: list
     total_reward: float
-    chain_blocks: int
+    chain_blocks: int  # canonical blocks above genesis, folded ones included
     records: Optional[list] = None
 
     def revenue_of(self, miner_id: int) -> float:
@@ -156,7 +164,9 @@ class _Run:
             self.quantum_units = nakamoto.QUANTUM_UNITS
             self.p_heavy = 1.0
 
-        self.chain = [Block(0, -1, 0)]  # genesis sentinel
+        self.chain = [Block(0, -1, 0)]  # genesis sentinel, then the block at height base
+        self.base = 0
+        self.folded = [0.0] * n  # rewards of the blocks at heights 1..base
         self.next_bid = 1
         self.public_units = 0
         self.pending_wh = []      # miner ids of unembedded weak headers at the tip
@@ -173,10 +183,11 @@ class _Run:
         i = att.anchor_index
         if i < 0:
             return True
+        i -= self.base
         return i < len(self.chain) and self.chain[i].bid == att.anchor_bid
 
     def public_units_from(self, att: AttackerState) -> int:
-        return self.public_units - self.chain[att.anchor_index].cum
+        return self.public_units - self.chain[att.anchor_index - self.base].cum
 
     def can_match(self, att: AttackerState) -> bool:
         # Publishing bare weak headers cannot form a competing chain.
@@ -189,12 +200,14 @@ class _Run:
             # Own fruits from the abandoned branch stay mineable while the
             # block they point at is canonical; withheld blocks die.
             chain = self.chain
-            top = len(chain)
+            base = self.base
+            top = base + len(chain)
             for b in dropped:
                 if b.emb:
                     att.pending_fruits.extend((pb, ph) for (_m, pb, ph) in b.emb)
             att.pending_fruits = [
-                (pb, ph) for (pb, ph) in att.pending_fruits if ph < top and chain[ph].bid == pb
+                (pb, ph) for (pb, ph) in att.pending_fruits
+                if base <= ph < top and chain[ph - base].bid == pb
             ]
 
     def do_override(self, att: AttackerState) -> None:
@@ -204,8 +217,9 @@ class _Run:
         anchor = att.anchor_index
         if self.pending_fruits:
             self.pending_fruits = [f for f in self.pending_fruits if f[2] <= anchor]
-        dead = self.chain[anchor + 1:] if self.proto is ProtocolName.FRUITCHAIN else None
-        del self.chain[anchor + 1:]
+        cut = anchor + 1 - self.base
+        dead = self.chain[cut:] if self.proto is ProtocolName.FRUITCHAIN else None
+        del self.chain[cut:]
         self.chain.extend(att.blocks)
         if dead:
             self._reclaim_embedded(dead)
@@ -227,7 +241,7 @@ class _Run:
         att.in_match = True
         if self.tie is None:
             tip = self.chain[-1]
-            above_anchor = len(self.chain) - 1 > att.anchor_index
+            above_anchor = self.base + len(self.chain) - 1 > att.anchor_index
             if above_anchor and self.selfish[tip.miner]:
                 owner = tip.miner
             else:
@@ -245,11 +259,12 @@ class _Run:
         replaced suffix die with it.
         """
         chain = self.chain
-        top = len(chain)
+        base = self.base
+        top = base + len(chain)
         pend = self.pending_fruits
         for b in dead_blocks:
             if b.emb:
-                pend.extend(f for f in b.emb if f[2] < top and chain[f[2]].bid == f[1])
+                pend.extend(f for f in b.emb if base <= f[2] < top and chain[f[2] - base].bid == f[1])
 
     # -- tie helpers ------------------------------------------------------
 
@@ -263,8 +278,9 @@ class _Run:
         """An alternative branch wins: it becomes the main-line suffix."""
         anchor = alt.anchor_index
         kept = [f for f in self.pending_fruits if f[2] <= anchor]
-        dead = self.chain[anchor + 1:] if self.proto is ProtocolName.FRUITCHAIN else None
-        del self.chain[anchor + 1:]
+        cut = anchor + 1 - self.base
+        dead = self.chain[cut:] if self.proto is ProtocolName.FRUITCHAIN else None
+        del self.chain[cut:]
         self.chain.extend(alt.blocks)
         self.pending_wh = list(alt.pend_wh)
         self.pending_fruits = kept + alt.pend_fruits
@@ -312,7 +328,7 @@ class _Run:
             return 1
         # fruitchain
         if heavy:
-            height = len(chain)
+            height = self.base + len(chain)
             window = self.window
             emb = [f for f in self.pending_fruits if height - f[2] <= window]
             self.pending_fruits = []
@@ -321,8 +337,7 @@ class _Run:
             self.next_bid += 1
             self.public_units += advance
             return advance
-        tip_index = len(chain) - 1
-        self.pending_fruits.append((miner, chain[tip_index].bid, tip_index))
+        self.pending_fruits.append((miner, chain[-1].bid, self.base + len(chain) - 1))
         return 0
 
     def _embed_own_fruits(self, att: AttackerState, anchor_index: int, blocks: list, new_height: int) -> list:
@@ -332,13 +347,14 @@ class _Run:
         stale or points at an orphaned block, so the pending list empties.
         """
         chain = self.chain
+        base = self.base
         window = self.window
         emb = []
         for (pb, ph) in att.pending_fruits:
             if new_height - ph > window:
                 continue
             if ph <= anchor_index:
-                on_branch = ph < len(chain) and chain[ph].bid == pb
+                on_branch = base <= ph < base + len(chain) and chain[ph - base].bid == pb
             else:
                 j = ph - anchor_index - 1
                 on_branch = j < len(blocks) and blocks[j].bid == pb
@@ -355,18 +371,17 @@ class _Run:
                 self_height = att.anchor_index + len(att.blocks)
                 att.pending_fruits.append((tip.bid, self_height))
             else:
-                tip_index = len(chain) - 1
-                att.pending_fruits.append((chain[tip_index].bid, tip_index))
+                att.pending_fruits.append((chain[-1].bid, self.base + len(chain) - 1))
             return
         if att.anchor_index < 0:
-            att.anchor_index = len(chain) - 1
+            att.anchor_index = self.base + len(chain) - 1
             att.anchor_bid = chain[-1].bid
         if proto is ProtocolName.STRONGCHAIN:
             if not heavy:
                 att.pending_count += 1
                 att.units += 1
                 return
-            parent_cum = att.blocks[-1].cum if att.blocks else chain[att.anchor_index].cum
+            parent_cum = att.blocks[-1].cum if att.blocks else chain[att.anchor_index - self.base].cum
             emb = [att.id] * att.pending_count
             cum = parent_cum + self.ratio + att.pending_count
             att.blocks.append(Block(self.next_bid, att.id, cum, emb))
@@ -374,7 +389,7 @@ class _Run:
             att.pending_count = 0
             att.units += self.ratio
             return
-        parent_cum = att.blocks[-1].cum if att.blocks else chain[att.anchor_index].cum
+        parent_cum = att.blocks[-1].cum if att.blocks else chain[att.anchor_index - self.base].cum
         if proto is ProtocolName.FRUITCHAIN:
             new_height = att.anchor_index + len(att.blocks) + 1
             emb = self._embed_own_fruits(att, att.anchor_index, att.blocks, new_height)
@@ -449,9 +464,9 @@ class _Run:
         pending ones die under its block) and embeds only its own fruits.
         """
         chain = self.chain
+        tip_height = self.base + len(chain) - 1
         if proto is ProtocolName.FRUITCHAIN and not heavy:
-            tip_index = len(chain) - 1
-            att.pending_fruits.append((chain[tip_index].bid, tip_index))
+            att.pending_fruits.append((chain[-1].bid, tip_height))
             return 0
         if proto is ProtocolName.STRONGCHAIN:
             if not heavy:
@@ -467,7 +482,7 @@ class _Run:
             self.public_units = cum
             return advance
         if proto is ProtocolName.FRUITCHAIN:
-            emb = self._embed_own_fruits(att, len(chain) - 1, [], len(chain))
+            emb = self._embed_own_fruits(att, tip_height, [], tip_height + 1)
             advance = self.fruit_ratio + len(emb)
         else:
             emb = None
@@ -507,13 +522,40 @@ class _Run:
             self.do_override(cands[0])
 
     def _max_height(self) -> int:
-        h = len(self.chain) - 1
+        h = self.base + len(self.chain) - 1
         for a in self.attackers:
             if not a.floating:
                 ah = a.anchor_index + len(a.blocks)
                 if ah > h:
                     h = ah
         return h
+
+    # -- settled blocks ----------------------------------------------------
+
+    def _tally(self, blocks, tip_pending=()) -> list:
+        """Rewards of ``blocks`` added, in chain order, to the folded totals."""
+        n, params = self.n_miners, self.config.protocol_params
+        if self.proto is ProtocolName.NAKAMOTO:
+            return nakamoto.tally_rewards(blocks, n, self.folded)
+        if self.proto is ProtocolName.STRONGCHAIN:
+            return strongchain.tally_rewards(blocks, tip_pending, params, n, self.folded)
+        return fruitchain.tally_rewards(blocks, params, n, self.folded)
+
+    def _fold(self) -> None:
+        """Fold the blocks below the lowest live anchor into ``folded``; drop them."""
+        safe = self.base + len(self.chain) - 1
+        for a in self.attackers:
+            if not a.floating and a.anchor_index < safe:
+                safe = a.anchor_index
+        if self.tie is not None:
+            safe = min([safe] + [alt.anchor_index for alt in self.tie.alts])
+        if self.proto is ProtocolName.FRUITCHAIN:
+            safe -= self.window - 1
+        cut = safe - self.base
+        if cut > 0:
+            self.folded = self._tally(self.chain[1:cut + 1])
+            del self.chain[:cut]
+            self.base = safe
 
     # -- main loop ---------------------------------------------------------
 
@@ -536,6 +578,8 @@ class _Run:
         i = 0
         while limit is None or i < limit:
             first = i
+            if first:
+                self._fold()
             n = CHUNK if limit is None else min(CHUNK, limit - first)
             lanes = RoundLanes(lane_seed(run_seed, first), n)
             leaders = np.searchsorted(cum_powers, lanes.leader, side="right").tolist()
@@ -609,19 +653,12 @@ class _Run:
         return self._result(run_seed, i)
 
     def _result(self, run_seed: int, rounds: int) -> SimulationResult:
-        blocks = self.chain[1:]
-        n = self.n_miners
-        if self.proto is ProtocolName.NAKAMOTO:
-            rewards = nakamoto.tally_rewards(blocks, n)
-        elif self.proto is ProtocolName.STRONGCHAIN:
-            rewards = strongchain.tally_rewards(blocks, self.pending_wh, self.config.protocol_params, n)
-        else:
-            rewards = fruitchain.tally_rewards(blocks, self.config.protocol_params, n)
+        rewards = self._tally(self.chain[1:], self.pending_wh)
         total = sum(rewards)
         if total > 0:
             revenues = [x / total for x in rewards]
         else:
-            revenues = [0.0] * n
+            revenues = [0.0] * self.n_miners
         return SimulationResult(
             config=self.config,
             run_index=self.run_index,
@@ -630,7 +667,7 @@ class _Run:
             rewards=rewards,
             revenues=revenues,
             total_reward=total,
-            chain_blocks=len(blocks),
+            chain_blocks=self.base + len(self.chain) - 1,
             records=self.records,
         )
 

@@ -28,13 +28,14 @@ def quantum_units(params: FruitchainParams) -> int:
     return 2 * params.fruit_ratio
 
 
-def tally_rewards(blocks, params: FruitchainParams, n_miners: int) -> list:
+def tally_rewards(blocks, params: FruitchainParams, n_miners: int, start=None) -> list:
     """Rewards over the canonical chain; only embedded fruits pay.
 
     Embedded entries are (miner, pointer bid, pointer height) so a reorg
-    can tell which fruits stay re-embeddable.
+    can tell which fruits stay re-embeddable.  ``start`` holds the totals
+    of the blocks before ``blocks``.
     """
-    rewards = [0.0] * n_miners
+    rewards = [0.0] * n_miners if start is None else list(start)
     for b in blocks:
         rewards[b.miner] += params.block_reward
         if b.emb:

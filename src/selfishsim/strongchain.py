@@ -13,10 +13,13 @@ from __future__ import annotations
 from .config import StrongchainParams
 
 
-def tally_rewards(blocks, tip_pending, params: StrongchainParams, n_miners: int) -> list:
-    """Rewards over the canonical chain plus the pending headers at its tip."""
+def tally_rewards(blocks, tip_pending, params: StrongchainParams, n_miners: int, start=None) -> list:
+    """Rewards over the canonical chain plus the pending headers at its tip.
+
+    ``start`` holds the totals of the blocks before ``blocks``.
+    """
     per_weak = 1.0 / params.ratio
-    rewards = [0.0] * n_miners
+    rewards = [0.0] * n_miners if start is None else list(start)
     for b in blocks:
         rewards[b.miner] += 1.0
         for m in b.emb:

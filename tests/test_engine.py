@@ -1,6 +1,10 @@
 """Engine behavior: leader election, determinism, conservation, anchors."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -13,8 +17,9 @@ from selfishsim.config import (
     ProtocolName,
     SimulationConfig,
 )
-from selfishsim.engine import _Run, run_simulation
+from selfishsim.engine import AltBranch, Block, Tie, _Run, run_simulation
 from selfishsim.rng import stream_uniforms
+from selfishsim.strategy import HONEST_BRANCH
 
 THREE_MINERS = (
     MinerSpec(0, 0.2, MinerKind.HONEST),
@@ -249,3 +254,122 @@ def test_target_height_draws_less_than_one_spare_chunk(monkeypatch):
     res = run_simulation(cfg)
     assert res.rounds > engine.CHUNK
     assert sum(requests) < res.rounds + engine.CHUNK
+
+
+# -- settled blocks folded at chunk starts ---------------------------------
+
+
+def _folding_run(monkeypatch, cfg):
+    """Small-chunk run next to the single-chunk one; logs every fold."""
+    want = run_simulation(cfg)
+    folds = []
+    fold = _Run._fold
+
+    def logging_fold(self):
+        live = {(a.id, a.anchor_index, a.anchor_bid) for a in self.attackers if not a.floating}
+        folds.append((self.tie is not None, live))
+        fold(self)
+
+    monkeypatch.setattr(_Run, "_fold", logging_fold)
+    monkeypatch.setattr(engine, "CHUNK", SMALL_CHUNK)
+    run = _Run(cfg, 0, collect_records=False)
+    got = run.run()
+    assert run.base > 0
+    assert _outcome(got) == _outcome(want)
+    return folds
+
+
+# gamma 0.5 is test_small_chunks_give_the_same_run, whose runs fold too.
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("attackers", [1, 3])
+@pytest.mark.parametrize("protocol", ["nakamoto", "strongchain", "fruitchain"])
+def test_folding_keeps_the_run(monkeypatch, protocol, attackers, gamma):
+    alpha = 0.3 if attackers == 1 else 0.15
+    cfg = quick_config(protocol, alpha=alpha, gamma=gamma, rounds=4000, seed=28, attackers=attackers)
+    _folding_run(monkeypatch, cfg)
+
+
+def test_folding_keeps_a_target_height_run(monkeypatch):
+    cfg = quick_config("fruitchain", alpha=0.38, gamma=0.0, seed=5)
+    cfg = dataclasses.replace(cfg, end_condition=EndCondition(target_height=1500))
+    _folding_run(monkeypatch, cfg)
+
+
+@pytest.mark.parametrize(
+    "protocol,alpha,gamma",
+    [("nakamoto", 0.15, 0.5), ("strongchain", 0.15, 0.5), ("fruitchain", 0.2, 0.0)],
+)
+def test_folding_keeps_a_run_with_a_tie_open_at_a_fold(monkeypatch, protocol, alpha, gamma):
+    cfg = quick_config(protocol, alpha=alpha, gamma=gamma, rounds=4000, seed=28, attackers=3)
+    folds = _folding_run(monkeypatch, cfg)
+    assert any(tie_open for tie_open, _ in folds)
+
+
+@pytest.mark.parametrize(
+    "protocol,gamma", [("nakamoto", 0.5), ("strongchain", 1.0), ("fruitchain", 0.5)]
+)
+def test_folding_keeps_an_anchor_held_across_folds(monkeypatch, protocol, gamma):
+    cfg = quick_config(protocol, alpha=0.45, gamma=gamma, rounds=4000, seed=28)
+    folds = _folding_run(monkeypatch, cfg)
+    held = [live for _, live in folds]
+    assert any(held[i] & held[i + 1] & held[i + 2] for i in range(len(held) - 2))
+
+
+@pytest.mark.parametrize("protocol", ["nakamoto", "fruitchain"])
+def test_fold_stops_at_the_lowest_live_anchor(protocol):
+    # A bare public chain of 60 honest blocks over genesis.
+    run = _Run(quick_config(protocol, alpha=0.1, attackers=3), 0, collect_records=False)
+    run.chain = [Block(0, -1, 0)] + [Block(h, 3, h) for h in range(1, 61)]
+    run.public_units = 60
+    run.attackers[1].anchor_index, run.attackers[1].anchor_bid = 40, 40
+    # An open tie branch whose owner floats still pins its anchor.
+    alt = AltBranch(owner=2, anchor_index=30, anchor_bid=30, blocks=[Block(99, 2, 31)], pend_wh=[])
+    run.tie = Tie(level=60, main_owner=HONEST_BRANCH, alts=[alt])
+    run._fold()
+    window = run.window if protocol == "fruitchain" else 1
+    assert run.base == 30 - (window - 1)
+    assert run.chain[0].bid == run.base
+    assert run.folded == [0.0, 0.0, 0.0, float(run.base)]
+    assert run.anchor_alive(run.attackers[1])
+    run.tie = None
+    run._fold()
+    assert run.base == 40 - (window - 1)
+    assert run._result(0, 0).rewards == [0.0, 0.0, 0.0, 60.0]
+
+
+@pytest.mark.parametrize("protocol", ["nakamoto", "strongchain", "fruitchain"])
+def test_folding_bounds_the_live_chain(monkeypatch, protocol):
+    monkeypatch.setattr(engine, "CHUNK", SMALL_CHUNK)
+    run = _Run(quick_config(protocol, alpha=0.3, rounds=20_000, seed=28), 0, collect_records=False)
+    run.run()
+    window = run.window if protocol == "fruitchain" else 0
+    assert run.base > 0
+    assert len(run.chain) <= 3 * SMALL_CHUNK + window
+
+
+_PEAK_GROWTH_MB = """
+import resource, sys
+from selfishsim import engine
+from selfishsim.config import ProtocolName, symmetric_attacker_config
+from selfishsim.engine import run_simulation
+
+def peak_mb(rounds):
+    cfg = symmetric_attacker_config(ProtocolName(sys.argv[1]), 1, 0.25, gamma=0.5, rounds=rounds)
+    run_simulation(cfg)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+one_chunk = peak_mb(engine.CHUNK)
+print(peak_mb(1_000_000) - one_chunk)
+"""
+
+
+@pytest.mark.parametrize("protocol", ["nakamoto", "fruitchain"])
+def test_million_round_run_keeps_memory_bounded(protocol):
+    # A fresh interpreter, so the peak RSS is this run's alone.
+    src = str(pathlib.Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_GROWTH_MB, protocol],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert float(out.stdout) < 20.0

@@ -104,3 +104,26 @@ def test_reward_split_presets():
         fruits = [(1, 0, 0)] * params.fruit_ratio
         rewards = fruitchain.tally_rewards([Block(1, 0, 20, emb=fruits)], params, 2)
         assert rewards[0] / sum(rewards) == pytest.approx(block_share)
+
+
+@pytest.mark.parametrize("protocol", ["nakamoto", "strongchain", "fruitchain"])
+def test_tally_continues_from_a_prefix_total(protocol):
+    # Folding settled blocks relies on this: each miner's sum gets its terms
+    # in chain order whether the chain is tallied at once or in two parts.
+    run = _Run(quick_config(protocol, alpha=0.15, rounds=20_000, seed=28, attackers=3), 0, False)
+    run.run()
+    assert run.base == 0  # one chunk: nothing folded, the whole chain is live
+    blocks = run.chain[1:]
+    params = run.config.protocol_params
+    n = run.n_miners
+
+    def tally(part, start=None, tip=()):
+        if protocol == "nakamoto":
+            return nakamoto.tally_rewards(part, n, start)
+        if protocol == "strongchain":
+            return strongchain.tally_rewards(part, tip, params, n, start)
+        return fruitchain.tally_rewards(part, params, n, start)
+
+    whole = tally(blocks, tip=run.pending_wh)
+    for k in (1, len(blocks) // 3, len(blocks) - 1):
+        assert repr(tally(blocks[k:], tally(blocks[:k]), run.pending_wh)) == repr(whole)
