@@ -20,7 +20,6 @@ from .experiments import (
     RevenuePoint,
     SweepConfig,
     ThresholdEstimate,
-    bootstrap_ci,
     estimate_threshold,
     run_sweep,
     threshold_search,
@@ -59,7 +58,6 @@ __all__ = [
     "SweepConfig",
     "ThresholdEstimate",
     "balanced_fruit_params",
-    "bootstrap_ci",
     "config_digest",
     "decide_action",
     "derive_run_seed",

@@ -7,9 +7,12 @@ module's adopt/match/override/wait rule, including chained releases where
 one attacker's published branch is immediately overridden by a stronger
 rival's.
 
-Chain strength is tracked in integer protocol units (one per block; the
-weak-header protocol counts a weak header as one unit and a strong block
-as ``ratio`` units) so all comparisons are exact.  A released branch
+Chain strength is tracked in integer units, so all comparisons are exact.
+There are two mining paths.  On the header path a weak header counts one
+unit the moment it exists and a strong block ``ratio`` units; Nakamoto runs
+on it with ratio 1 and every artifact strong, so a block weighs one unit
+and no weak header is ever mined.  On the fruit path a block counts
+``fruit_ratio`` units plus one per fruit it embeds.  A released branch
 replaces the suffix above the releaser's fork anchor.  During a tie the
 equal-strength released branches are kept alongside the main line until one
 side gains strictly greater strength.
@@ -52,15 +55,21 @@ from .strategy import HONEST_BRANCH, Action, AttackerState, cascade_release
 
 CHUNK = 1 << 16  # rounds of lanes drawn and decoded at a time
 
+# Record name of a round's (light, heavy) artifact.
+KIND_NAMES = {
+    ProtocolName.NAKAMOTO: ("block", "block"),
+    ProtocolName.STRONGCHAIN: ("weak", "strong"),
+    ProtocolName.FRUITCHAIN: ("fruit", "block"),
+}
+
 
 class Block:
     """One canonical-chain entry.
 
     ``cum`` is the cumulative strength in units through this block, counting
-    artifacts embedded in it; ``emb`` lists embedded weak headers as miner
-    ids, embedded fruits as (miner, pointer bid, pointer height) so a reorg
-    can tell which of them stay mineable (None where the protocol embeds
-    nothing).
+    artifacts embedded in it; ``emb`` holds embedded weak headers as a tuple
+    of miner ids, embedded fruits as a list of (miner, pointer bid, pointer
+    height) so a reorg can tell which of them stay mineable.
     """
 
     __slots__ = ("bid", "miner", "cum", "emb")
@@ -85,7 +94,6 @@ class AltBranch:
     blocks: list
     pend_wh: list
     pend_fruits: list = field(default_factory=list)
-    units_abs: int = 0
 
 
 @dataclass
@@ -149,19 +157,21 @@ class _Run:
         cum[-1] = 1.0  # lane 0 stays below 1.0, so searchsorted never passes the last miner
         self.cum_powers = cum
 
-        if self.proto is ProtocolName.STRONGCHAIN:
-            params: StrongchainParams = config.protocol_params
-            self.ratio = params.ratio
-            self.quantum_units = params.ratio
-            self.p_heavy = 1.0 / (params.ratio + 1)
-        elif self.proto is ProtocolName.FRUITCHAIN:
+        self.fruit = self.proto is ProtocolName.FRUITCHAIN
+        if self.fruit:
             fparams: FruitchainParams = config.protocol_params
             self.fruit_ratio = fparams.fruit_ratio
             self.window = fparams.freshness_window
             self.quantum_units = fruitchain.quantum_units(fparams)
             self.p_heavy = 1.0 / (fparams.fruit_ratio + 1)
+        elif self.proto is ProtocolName.STRONGCHAIN:
+            params: StrongchainParams = config.protocol_params
+            self.ratio = self.quantum_units = params.ratio
+            self.p_heavy = 1.0 / (params.ratio + 1)
         else:
-            self.quantum_units = nakamoto.QUANTUM_UNITS
+            # The header chain with ratio 1: the kind lane is below 1.0, so
+            # every artifact is a strong block of one unit.
+            self.ratio = self.quantum_units = 1
             self.p_heavy = 1.0
 
         self.chain = [Block(0, -1, 0)]  # genesis sentinel, then the block at height base
@@ -189,14 +199,10 @@ class _Run:
     def public_units_from(self, att: AttackerState) -> int:
         return self.public_units - self.chain[att.anchor_index - self.base].cum
 
-    def can_match(self, att: AttackerState) -> bool:
-        # Publishing bare weak headers cannot form a competing chain.
-        return bool(att.blocks)
-
     def do_adopt(self, att: AttackerState) -> None:
         dropped = att.blocks
         att.reset()
-        if self.proto is ProtocolName.FRUITCHAIN and (att.pending_fruits or dropped):
+        if self.fruit and (att.pending_fruits or dropped):
             # Own fruits from the abandoned branch stay mineable while the
             # block they point at is canonical; withheld blocks die.
             chain = self.chain
@@ -212,20 +218,7 @@ class _Run:
 
     def do_override(self, att: AttackerState) -> None:
         """Replace the public suffix above the attacker's anchor with its branch."""
-        if self.tie is not None:
-            self._end_tie()
-        anchor = att.anchor_index
-        if self.pending_fruits:
-            self.pending_fruits = [f for f in self.pending_fruits if f[2] <= anchor]
-        cut = anchor + 1 - self.base
-        dead = self.chain[cut:] if self.proto is ProtocolName.FRUITCHAIN else None
-        del self.chain[cut:]
-        self.chain.extend(att.blocks)
-        if dead:
-            self._reclaim_embedded(dead)
-        self.pending_wh = [att.id] * att.pending_count
-        self.public_units = self.chain[-1].cum + att.pending_count
-        att.reset()
+        self._publish(att, att.anchor_index, att.blocks, [att.id] * att.pending_count, [])
 
     def do_match(self, att: AttackerState) -> None:
         """Publish the branch next to the equal-strength main line."""
@@ -235,7 +228,6 @@ class _Run:
             anchor_bid=att.anchor_bid,
             blocks=att.blocks,
             pend_wh=[att.id] * att.pending_count,
-            units_abs=self.public_units,
         )
         att.pending_count = 0
         att.in_match = True
@@ -249,6 +241,27 @@ class _Run:
             self.tie = Tie(level=self.public_units, main_owner=owner, alts=[alt])
         else:
             self.tie.alts.append(alt)
+
+    def _publish(self, att: AttackerState, anchor: int, blocks: list, pend_wh: list, pend_fruits: list) -> None:
+        """A released branch wins: it replaces the main line above ``anchor``.
+
+        Ends any tie, hands the branch's pending weak headers and fruits to
+        the public tip, returns reorg-orphaned fruits to the public pool,
+        and floats the branch's owner ``att`` again.
+        """
+        if self.tie is not None:
+            self._end_tie()
+        chain = self.chain
+        cut = anchor + 1 - self.base
+        dead = chain[cut:] if self.fruit else None
+        del chain[cut:]
+        chain.extend(blocks)
+        self.pending_wh = pend_wh
+        self.pending_fruits = [f for f in self.pending_fruits if f[2] <= anchor] + pend_fruits
+        if dead:
+            self._reclaim_embedded(dead)
+        self.public_units = chain[-1].cum + len(pend_wh)
+        att.reset()
 
     def _reclaim_embedded(self, dead_blocks: list) -> None:
         """Return reorg-orphaned fruits with a still-canonical pointer.
@@ -275,20 +288,8 @@ class _Run:
         self.tie = None
 
     def _promote(self, alt: AltBranch) -> None:
-        """An alternative branch wins: it becomes the main-line suffix."""
-        anchor = alt.anchor_index
-        kept = [f for f in self.pending_fruits if f[2] <= anchor]
-        cut = anchor + 1 - self.base
-        dead = self.chain[cut:] if self.proto is ProtocolName.FRUITCHAIN else None
-        del self.chain[cut:]
-        self.chain.extend(alt.blocks)
-        self.pending_wh = list(alt.pend_wh)
-        self.pending_fruits = kept + alt.pend_fruits
-        if dead:
-            self._reclaim_embedded(dead)
-        self.public_units = alt.units_abs
-        self._end_tie()
-        self.att_by_id[alt.owner].reset()
+        """A released tie branch wins the tie."""
+        self._publish(self.att_by_id[alt.owner], alt.anchor_index, alt.blocks, alt.pend_wh, alt.pend_fruits)
 
     def _choose_tie_branch(self, u: float) -> Optional[AltBranch]:
         """Honest leader's parent pick during a tie; None means the main line.
@@ -304,41 +305,55 @@ class _Run:
         idx = min(int(u * n), n - 1)
         return None if idx == 0 else tie.alts[idx - 1]
 
+    def _settle_tie_after_main_change(self) -> None:
+        """Re-evaluate the open tie once the main line's strength moved."""
+        level = self.tie.level
+        if self.public_units > level:
+            self._end_tie()
+        elif self.public_units < level:
+            self._promote(self.tie.alts[0])
+
     # -- mining -----------------------------------------------------------
 
-    def _mine_main(self, miner: int, heavy: bool, proto: ProtocolName) -> int:
-        """Honest artifact on the main line; returns the strength advance."""
+    def _mine_main(self, miner: int, heavy: bool, att: Optional[AttackerState] = None) -> int:
+        """Artifact on the main line; returns the strength advance.
+
+        ``att`` is the attacker that owns a tie's main line and mines on it.
+        It keeps its release rules: it never embeds honest weak headers
+        (they die under its block) and embeds only its own fruits, which
+        stay private until then.
+        """
         chain = self.chain
-        if proto is ProtocolName.NAKAMOTO:
-            chain.append(Block(self.next_bid, miner, chain[-1].cum + 1))
-            self.next_bid += 1
-            self.public_units += 1
-            return 1
-        if proto is ProtocolName.STRONGCHAIN:
-            if heavy:
-                emb = self.pending_wh
-                self.pending_wh = []
-                cum = chain[-1].cum + self.ratio + len(emb)
-                chain.append(Block(self.next_bid, miner, cum, emb))
-                self.next_bid += 1
-                self.public_units = cum
-                return self.ratio
+        tip = chain[-1]
+        if self.fruit:
+            height = self.base + len(chain)
+            if not heavy:
+                if att is None:
+                    self.pending_fruits.append((miner, tip.bid, height - 1))
+                else:
+                    att.pending_fruits.append((tip.bid, height - 1))
+                return 0
+            if att is None:
+                window = self.window
+                emb = [f for f in self.pending_fruits if height - f[2] <= window]
+                self.pending_fruits = []
+            else:
+                emb = self._embed_own_fruits(att, height - 1, [], height)
+            cum = tip.cum + self.fruit_ratio + len(emb)
+        elif heavy:
+            pend = self.pending_wh
+            emb = tuple(pend) if att is None else tuple(m for m in pend if m == miner)
+            pend.clear()
+            cum = tip.cum + self.ratio + len(emb)
+        else:
             self.pending_wh.append(miner)
             self.public_units += 1
             return 1
-        # fruitchain
-        if heavy:
-            height = self.base + len(chain)
-            window = self.window
-            emb = [f for f in self.pending_fruits if height - f[2] <= window]
-            self.pending_fruits = []
-            advance = self.fruit_ratio + len(emb)
-            chain.append(Block(self.next_bid, miner, chain[-1].cum + advance, emb))
-            self.next_bid += 1
-            self.public_units += advance
-            return advance
-        self.pending_fruits.append((miner, chain[-1].bid, self.base + len(chain) - 1))
-        return 0
+        chain.append(Block(self.next_bid, miner, cum, emb))
+        self.next_bid += 1
+        advance = cum - self.public_units
+        self.public_units = cum
+        return advance
 
     def _embed_own_fruits(self, att: AttackerState, anchor_index: int, blocks: list, new_height: int) -> list:
         """Fresh private fruits pointing into the branch being extended.
@@ -363,144 +378,81 @@ class _Run:
         att.pending_fruits = []
         return emb
 
-    def _mine_private(self, att: AttackerState, heavy: bool, proto: ProtocolName) -> None:
+    def _mine_private(self, att: AttackerState, heavy: bool) -> None:
         chain = self.chain
-        if proto is ProtocolName.FRUITCHAIN and not heavy:
-            if att.blocks:
-                tip = att.blocks[-1]
-                self_height = att.anchor_index + len(att.blocks)
-                att.pending_fruits.append((tip.bid, self_height))
+        blocks = att.blocks
+        if self.fruit and not heavy:
+            if blocks:
+                att.pending_fruits.append((blocks[-1].bid, att.anchor_index + len(blocks)))
             else:
                 att.pending_fruits.append((chain[-1].bid, self.base + len(chain) - 1))
             return
         if att.anchor_index < 0:
             att.anchor_index = self.base + len(chain) - 1
             att.anchor_bid = chain[-1].bid
-        if proto is ProtocolName.STRONGCHAIN:
-            if not heavy:
-                att.pending_count += 1
-                att.units += 1
-                return
-            parent_cum = att.blocks[-1].cum if att.blocks else chain[att.anchor_index - self.base].cum
-            emb = [att.id] * att.pending_count
-            cum = parent_cum + self.ratio + att.pending_count
-            att.blocks.append(Block(self.next_bid, att.id, cum, emb))
-            self.next_bid += 1
-            att.pending_count = 0
-            att.units += self.ratio
+        if not heavy:
+            att.pending_count += 1
+            att.units += 1
             return
-        parent_cum = att.blocks[-1].cum if att.blocks else chain[att.anchor_index - self.base].cum
-        if proto is ProtocolName.FRUITCHAIN:
-            new_height = att.anchor_index + len(att.blocks) + 1
-            emb = self._embed_own_fruits(att, att.anchor_index, att.blocks, new_height)
-            advance = self.fruit_ratio + len(emb)
+        parent_cum = blocks[-1].cum if blocks else chain[att.anchor_index - self.base].cum
+        if self.fruit:
+            emb = self._embed_own_fruits(att, att.anchor_index, blocks, att.anchor_index + len(blocks) + 1)
+            gain = self.fruit_ratio + len(emb)
+            cum = parent_cum + gain
         else:
-            emb = None
-            advance = 1
-        att.blocks.append(Block(self.next_bid, att.id, parent_cum + advance, emb))
+            # The embedded headers counted when they were mined.
+            emb = (att.id,) * att.pending_count
+            att.pending_count = 0
+            gain = self.ratio
+            cum = parent_cum + gain + len(emb)
+        blocks.append(Block(self.next_bid, att.id, cum, emb))
         self.next_bid += 1
-        att.units += advance
+        att.units += gain
 
-    def _extend_alt(self, alt: AltBranch, miner: int, heavy: bool, proto: ProtocolName, own: bool) -> int:
-        """Artifact on a released tie branch; promotes it if strength grows."""
-        if proto is ProtocolName.FRUITCHAIN and not heavy:
-            att = self.att_by_id[alt.owner] if own else None
-            tip = alt.blocks[-1]
-            height = alt.anchor_index + len(alt.blocks)
-            if own:
-                att.pending_fruits.append((tip.bid, height))
-            else:
-                alt.pend_fruits.append((miner, tip.bid, height))
-            return 0
-        if proto is ProtocolName.STRONGCHAIN and not heavy:
-            alt.pend_wh.append(miner)
-            alt.units_abs += 1
-            self._promote(alt)
-            return 1
-        # a full block on the branch
-        new_height = alt.anchor_index + len(alt.blocks) + 1
-        parent_cum = alt.blocks[-1].cum
-        if proto is ProtocolName.STRONGCHAIN:
-            emb = alt.pend_wh
-            alt.pend_wh = []
-            cum = parent_cum + self.ratio + len(emb)
-            alt.blocks.append(Block(self.next_bid, miner, cum, emb))
-            self.next_bid += 1
-            # pending headers were already counted in units_abs when released
-            alt.units_abs += self.ratio
-            self._promote(alt)
-            return self.ratio
-        if proto is ProtocolName.FRUITCHAIN:
-            if own:
-                att = self.att_by_id[alt.owner]
-                emb = self._embed_own_fruits(att, alt.anchor_index, alt.blocks, new_height)
-            else:
+    def _extend_alt(self, alt: AltBranch, miner: int, heavy: bool, att: Optional[AttackerState] = None) -> int:
+        """Artifact on a released tie branch; promotes it if strength grows.
+
+        Returns the strength advance.  ``att`` is the branch's owner when it
+        mines on its own branch, which embeds only its own fruits.
+        """
+        blocks = alt.blocks
+        height = alt.anchor_index + len(blocks)  # of the branch tip
+        level = self.public_units  # the branch's strength while the tie is open
+        if self.fruit:
+            if not heavy:
+                if att is None:
+                    alt.pend_fruits.append((miner, blocks[-1].bid, height))
+                else:
+                    att.pending_fruits.append((blocks[-1].bid, height))
+                return 0
+            if att is None:
                 window = self.window
                 anchor = alt.anchor_index
                 emb = []
                 left = []
                 for f in self.pending_fruits:
-                    if f[2] <= anchor and new_height - f[2] <= window:
+                    if f[2] <= anchor and height + 1 - f[2] <= window:
                         emb.append(f)
                     else:
                         left.append(f)
                 self.pending_fruits = left
-                emb.extend(f for f in alt.pend_fruits if new_height - f[2] <= window)
+                emb.extend(f for f in alt.pend_fruits if height + 1 - f[2] <= window)
                 alt.pend_fruits = []
-            advance = self.fruit_ratio + len(emb)
+            else:
+                emb = self._embed_own_fruits(att, alt.anchor_index, blocks, height + 1)
+            cum = blocks[-1].cum + self.fruit_ratio + len(emb)
+        elif heavy:
+            emb = tuple(alt.pend_wh)
+            alt.pend_wh.clear()
+            cum = blocks[-1].cum + self.ratio + len(emb)
         else:
-            emb = None
-            advance = 1
-        alt.blocks.append(Block(self.next_bid, miner, parent_cum + advance, emb))
+            alt.pend_wh.append(miner)
+            self._promote(alt)
+            return 1
+        blocks.append(Block(self.next_bid, miner, cum, emb))
         self.next_bid += 1
-        alt.units_abs += advance
         self._promote(alt)
-        return advance
-
-    def _mine_main_as_attacker(self, att: AttackerState, heavy: bool, proto: ProtocolName) -> int:
-        """Tie round where the attacker owning the main line extends it publicly.
-
-        Mirrors its release rules: it never embeds honest weak headers (any
-        pending ones die under its block) and embeds only its own fruits.
-        """
-        chain = self.chain
-        tip_height = self.base + len(chain) - 1
-        if proto is ProtocolName.FRUITCHAIN and not heavy:
-            att.pending_fruits.append((chain[-1].bid, tip_height))
-            return 0
-        if proto is ProtocolName.STRONGCHAIN:
-            if not heavy:
-                self.pending_wh.append(att.id)
-                self.public_units += 1
-                return 1
-            emb = [m for m in self.pending_wh if m == att.id]
-            self.pending_wh = []
-            cum = chain[-1].cum + self.ratio + len(emb)
-            chain.append(Block(self.next_bid, att.id, cum, emb))
-            self.next_bid += 1
-            advance = cum - self.public_units
-            self.public_units = cum
-            return advance
-        if proto is ProtocolName.FRUITCHAIN:
-            emb = self._embed_own_fruits(att, tip_height, [], tip_height + 1)
-            advance = self.fruit_ratio + len(emb)
-        else:
-            emb = None
-            advance = 1
-        chain.append(Block(self.next_bid, att.id, chain[-1].cum + advance, emb))
-        self.next_bid += 1
-        self.public_units += advance
-        return advance
-
-    def _settle_tie_after_main_change(self) -> None:
-        """Re-evaluate a tie once the main line's strength moved."""
-        tie = self.tie
-        if tie is None:
-            return
-        if self.public_units > tie.level:
-            self._end_tie()
-        elif self.public_units < tie.level:
-            self._promote(tie.alts[0])
+        return self.public_units - level
 
     # -- end of run -------------------------------------------------------
 
@@ -549,7 +501,7 @@ class _Run:
                 safe = a.anchor_index
         if self.tie is not None:
             safe = min([safe] + [alt.anchor_index for alt in self.tie.alts])
-        if self.proto is ProtocolName.FRUITCHAIN:
+        if self.fruit:
             safe -= self.window - 1
         cut = safe - self.base
         if cut > 0:
@@ -566,14 +518,14 @@ class _Run:
         limit = config.end_condition.round_budget
         target = config.end_condition.target_height
 
-        proto = self.proto
-        is_nakamoto = proto is ProtocolName.NAKAMOTO
         p_heavy = self.p_heavy
         cum_powers = self.cum_powers
         selfish = self.selfish
         att_by_id = self.att_by_id
         attackers = self.attackers
         collect = self.collect
+        kind_names = KIND_NAMES[self.proto]
+        OVERRIDE, WAIT = Action.OVERRIDE, Action.WAIT
 
         i = 0
         while limit is None or i < limit:
@@ -583,67 +535,39 @@ class _Run:
             n = CHUNK if limit is None else min(CHUNK, limit - first)
             lanes = RoundLanes(lane_seed(run_seed, first), n)
             leaders = np.searchsorted(cum_powers, lanes.leader, side="right").tolist()
-            heavies = [True] * n if is_nakamoto else (lanes.kind < p_heavy).tolist()
+            heavies = (lanes.kind < p_heavy).tolist()
             lane_tie = lanes.tie
             for leader, heavy in zip(leaders, heavies):
-                actions = [] if collect else None
-
+                tie = self.tie
+                own = None  # the leader's own move, as recorded
                 if selfish[leader]:
                     att = att_by_id[leader]
-                    tie = self.tie
                     if att.in_match:
                         alt = next(b for b in tie.alts if b.owner == leader)
-                        advance = self._extend_alt(alt, leader, heavy, proto, own=True)
-                        if advance:
-                            if collect:
-                                actions.append((leader, Action.OVERRIDE))
-                            acts = cascade_release(attackers, self)
-                            if collect:
-                                actions.extend(acts)
+                        advance = self._extend_alt(alt, leader, heavy, att)
+                        own = OVERRIDE if advance else None
                     elif tie is not None and tie.main_owner == leader:
-                        advance = self._mine_main_as_attacker(att, heavy, proto)
-                        if advance:
-                            self._settle_tie_after_main_change()
-                            acts = cascade_release(attackers, self)
-                            if collect:
-                                actions.append((leader, Action.OVERRIDE))
-                                actions.extend(acts)
+                        advance = self._mine_main(leader, heavy, att)
+                        own = OVERRIDE if advance else None
                     else:
-                        self._mine_private(att, heavy, proto)
-                        if collect:
-                            actions.append((leader, Action.WAIT))
+                        self._mine_private(att, heavy)
+                        advance = 0
+                        own = WAIT
                 else:
-                    tie = self.tie
-                    if tie is not None:
-                        alt = self._choose_tie_branch(lane_tie[i - first])
-                        if alt is None:
-                            advance = self._mine_main(leader, heavy, proto)
-                            if advance:
-                                self._settle_tie_after_main_change()
-                                acts = cascade_release(attackers, self)
-                                if collect:
-                                    actions.extend(acts)
-                        else:
-                            advance = self._extend_alt(alt, leader, heavy, proto, own=False)
-                            if advance:
-                                acts = cascade_release(attackers, self)
-                                if collect:
-                                    actions.extend(acts)
+                    alt = None if tie is None else self._choose_tie_branch(lane_tie[i - first])
+                    if alt is None:
+                        advance = self._mine_main(leader, heavy)
                     else:
-                        advance = self._mine_main(leader, heavy, proto)
-                        if advance:
-                            acts = cascade_release(attackers, self)
-                            if collect:
-                                actions.extend(acts)
+                        advance = self._extend_alt(alt, leader, heavy)
 
+                acts = ()
+                if advance:
+                    if self.tie is not None:  # the main line moved; a branch's win closed the tie
+                        self._settle_tie_after_main_change()
+                    acts = cascade_release(attackers, self)
                 if collect:
-                    if is_nakamoto:
-                        kind_name = "block"
-                    elif proto is ProtocolName.STRONGCHAIN:
-                        kind_name = "strong" if heavy else "weak"
-                    else:
-                        kind_name = "block" if heavy else "fruit"
-                    self.records.append(RoundRecord(i, leader, kind_name, tuple(actions)))
+                    moves = (() if own is None else ((leader, own),)) + tuple(acts)
+                    self.records.append(RoundRecord(i, leader, kind_names[heavy], moves))
                 i += 1
                 if target is not None and self._max_height() >= target:
                     limit = i  # the run ends here; no further chunk is drawn

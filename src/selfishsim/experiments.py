@@ -237,26 +237,6 @@ def estimate_threshold(
     )
 
 
-def bootstrap_ci(
-    samples: Sequence[float],
-    level: float = 0.95,
-    resamples: int = 10_000,
-    seed: int = 0,
-) -> Tuple[float, float]:
-    """Percentile bootstrap interval for the mean of the samples."""
-    data = np.asarray(list(samples), dtype=float)
-    if data.shape[0] < 2:
-        raise ValueError("bootstrap_ci needs at least 2 samples")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, data.shape[0], size=(resamples, data.shape[0]))
-    means = data[idx].mean(axis=1)
-    tail = 100.0 * (1.0 - level) / 2.0
-    lo, hi = np.percentile(means, (tail, 100.0 - tail))
-    return float(lo), float(hi)
-
-
 def threshold_search(cfg: SweepConfig, sweep=run_sweep) -> Tuple[list, ThresholdEstimate]:
     """Sweep the grid, then sharpen an interior bracket with its midpoint.
 

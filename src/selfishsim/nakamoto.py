@@ -1,8 +1,11 @@
-"""Longest-chain block protocol: one artifact kind, one reward per block."""
+"""Longest-chain block protocol: one artifact kind, one reward per block.
+
+The engine mines Nakamoto as the weak/strong-header chain with ratio 1 and
+every artifact strong: each block weighs one unit, and one unit is also the
+override quantum.  Only the reward rule lives here.
+"""
 
 from __future__ import annotations
-
-QUANTUM_UNITS = 1
 
 
 def tally_rewards(blocks, n_miners: int, start=None) -> list:

@@ -113,7 +113,9 @@ def cascade_release(attackers, chain) -> list:
                 actions.append((att.id, Action.ADOPT))
                 continue
             public_units = chain.public_units_from(att)
-            verdict = decide_action(att.units, public_units, att.units > 0, chain.quantum_units)
+            # Bare weak headers cannot form a competing chain: only a
+            # withheld block gives a level attacker something to match with.
+            verdict = decide_action(att.units, public_units, bool(att.blocks), chain.quantum_units)
             if verdict is Action.ADOPT:
                 chain.do_adopt(att)
                 actions.append((att.id, Action.ADOPT))
@@ -123,7 +125,7 @@ def cascade_release(attackers, chain) -> list:
                 changed = True
                 break
             elif verdict is Action.MATCH:
-                if att.in_match or not chain.can_match(att):
+                if att.in_match:
                     continue
                 chain.do_match(att)
                 actions.append((att.id, Action.MATCH))

@@ -142,17 +142,27 @@ def test_negative_run_index_rejected():
 
 
 # Frozen outcomes of specific seeds; any engine change that moves these
-# is a behavior change, not noise.
+# is a behavior change, not noise.  The three-attacker runs reach attacker
+# main-line blocks, tie-branch extensions and promotions, matches and
+# overrides.
+ANCHORS = [
+    ("nakamoto", 0.5, 7, 1, 0.3252454275639887),
+    ("strongchain", 0.0, 7, 1, 0.14698850873568423),
+    ("fruitchain", 0.5, 28, 1, 0.2513199155783852),
+    ("nakamoto", 0.5, 28, 3, 0.13529729312871133),
+    ("strongchain", 0.5, 28, 3, 0.07978096981883723),
+    ("fruitchain", 0.5, 28, 3, 0.10215143495220828),
+]
+
+
 @pytest.mark.parametrize(
-    "protocol,gamma,seed,expected",
-    [
-        ("nakamoto", 0.5, 7, 0.3252454275639887),
-        ("strongchain", 0.0, 7, 0.14698850873568423),
-        ("fruitchain", 0.5, 28, 0.2513199155783852),
-    ],
+    "protocol,gamma,seed,attackers,expected",
+    ANCHORS,
+    ids=[f"{p}-{g}-{s}-{e}" if k == 1 else f"{p}-{g}-{s}-k{k}-{e}" for p, g, s, k, e in ANCHORS],
 )
-def test_regression_anchor(protocol, gamma, seed, expected):
-    cfg = quick_config(protocol, alpha=0.3, gamma=gamma, rounds=100_000, seed=seed)
+def test_regression_anchor(protocol, gamma, seed, attackers, expected):
+    alpha = 0.3 if attackers == 1 else 0.15
+    cfg = quick_config(protocol, alpha=alpha, gamma=gamma, rounds=100_000, seed=seed, attackers=attackers)
     res = run_simulation(cfg)
     assert res.revenues[0] == expected
 

@@ -1,15 +1,13 @@
-"""Sweeps, threshold interpolation, bootstrap intervals."""
+"""Sweeps, threshold interpolation and its bootstrap interval."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from selfishsim.config import ConfigError, ProtocolName
 from selfishsim.experiments import (
     RevenuePoint,
     SweepConfig,
-    bootstrap_ci,
     estimate_threshold,
     run_sweep,
     threshold_search,
@@ -54,41 +52,6 @@ def test_estimator_input_validation():
         estimate_threshold([_pt(0.1, 0.1)])
     with pytest.raises(ValueError):
         estimate_threshold([_pt(0.2, 0.1), _pt(0.1, 0.2)])
-
-
-def test_bootstrap_ci_zero_variance_collapses():
-    lo, hi = bootstrap_ci([0.4] * 10)
-    assert lo == hi == pytest.approx(0.4)
-
-
-def test_bootstrap_ci_deterministic_per_seed():
-    data = [0.1, 0.4, 0.2, 0.9, 0.5]
-    assert bootstrap_ci(data, seed=3) == bootstrap_ci(data, seed=3)
-    assert bootstrap_ci(data, seed=3) != bootstrap_ci(data, seed=4)
-
-
-def test_bootstrap_ci_validation():
-    with pytest.raises(ValueError):
-        bootstrap_ci([1.0])
-    with pytest.raises(ValueError):
-        bootstrap_ci([1.0, 2.0], level=1.0)
-
-
-def test_bootstrap_coverage_near_nominal():
-    """Percentile-bootstrap coverage of a known mean stays near 95%.
-
-    500 trials of n=30 normal samples; the percentile method undercovers
-    a little at this n, so the accepted band is wide but still rules out
-    a broken interval.
-    """
-    rng = np.random.default_rng(0)
-    hits = 0
-    trials = 500
-    for t in range(trials):
-        sample = rng.normal(0.5, 0.1, size=30)
-        lo, hi = bootstrap_ci(sample, resamples=1000, seed=t)
-        hits += lo <= 0.5 <= hi
-    assert 0.90 <= hits / trials <= 0.99
 
 
 def _tiny_sweep(grid=(0.2, 0.3), repeats=3, rounds=500):

@@ -6,7 +6,6 @@ from conftest import quick_config
 from selfishsim import fruitchain, nakamoto, strongchain
 from selfishsim.config import (
     FruitchainParams,
-    ProtocolName,
     StrongchainParams,
     balanced_fruit_params,
     fruit_heavy_params,
@@ -20,7 +19,6 @@ HEAVY_KIND = {"strongchain": "strong", "fruitchain": "block"}
 def test_nakamoto_one_reward_per_block():
     blocks = [Block(1, 0, 1), Block(2, 1, 2), Block(3, 0, 3)]
     assert nakamoto.tally_rewards(blocks, 2) == [2.0, 1.0]
-    assert nakamoto.QUANTUM_UNITS == 1
 
 
 def _heavy_draws(protocol):
@@ -63,7 +61,7 @@ def _mine_block_over_fruit(chain_height, pointer_height):
     run = _Run(quick_config("fruitchain"), 0, collect_records=False)
     run.chain = [Block(h, h - 1, 10 * h) for h in range(chain_height)]
     run.pending_fruits = [(1, pointer_height, pointer_height)]
-    run._mine_main(0, True, ProtocolName.FRUITCHAIN)
+    run._mine_main(0, True)
     assert run.pending_fruits == []
     return run.chain[-1].emb
 

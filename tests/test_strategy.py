@@ -102,9 +102,6 @@ class ScriptedChain:
     def public_units_from(self, att):
         return self.public[att.id]
 
-    def can_match(self, att):
-        return bool(att.blocks)
-
     def do_adopt(self, att):
         self.log.append((att.id, Action.ADOPT))
         att.blocks = []
@@ -163,6 +160,15 @@ def test_cascade_match_fires_once():
     assert att.in_match
     # a second settling pass with the match standing does nothing new
     assert cascade_release([att], chain) == []
+
+
+def test_cascade_leaves_a_level_attacker_without_blocks_unmatched():
+    # Bare weak headers cannot form a competing chain.
+    att = _attacker(0, 2, blocks=False)
+    chain = ScriptedChain({0: 2})
+    assert cascade_release([att], chain) == []
+    assert not att.in_match
+    assert chain.log == []
 
 
 def test_cascade_runaway_guard():
