@@ -15,6 +15,23 @@ class ConfigError(ValueError):
     """Raised for invalid or inconsistent configuration input."""
 
 
+def is_int(v) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """True for an int or float that is not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_count(name: str, v) -> None:
+    if not is_int(v):
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    if v < 1:
+        raise ConfigError(f"{name} must be >= 1, got {v}")
+
+
 class MinerKind(str, Enum):
     HONEST = "honest"
     SELFISH = "selfish"
@@ -60,14 +77,15 @@ class StrongchainParams:
     """Weak/strong header protocol knobs.
 
     ``ratio`` is the expected number of weak headers per strong block; a
-    strong block pays 1 and an embedded weak header pays 1/ratio.
+    strong block pays 1 and an embedded weak header pays 1/ratio.  It
+    must be an int (not a bool): the engine counts strength in exact
+    integer units.
     """
 
     ratio: int = 10
 
     def __post_init__(self):
-        if self.ratio < 1:
-            raise ConfigError("strongchain ratio must be >= 1")
+        _check_count("ratio", self.ratio)
 
 
 @dataclass(frozen=True)
@@ -76,8 +94,10 @@ class FruitchainParams:
 
     ``fruit_ratio`` is the expected number of fruits per block,
     ``freshness_window`` the maximum height distance (inclusive) at which a
-    fruit may still be embedded.  ``block_reward`` and ``fruit_reward`` set
-    the payout split; the defaults give blocks half the steady-state reward.
+    fruit may still be embedded; both must be ints (not bools).
+    ``block_reward`` and ``fruit_reward`` set the payout split and must be
+    non-negative int or float numbers; the defaults give blocks half the
+    steady-state reward.
     """
 
     fruit_ratio: int = 10
@@ -86,10 +106,12 @@ class FruitchainParams:
     fruit_reward: float = 0.1
 
     def __post_init__(self):
-        if self.fruit_ratio < 1:
-            raise ConfigError("fruit_ratio must be >= 1")
-        if self.freshness_window < 1:
-            raise ConfigError("freshness_window must be >= 1")
+        _check_count("fruit_ratio", self.fruit_ratio)
+        _check_count("freshness_window", self.freshness_window)
+        for name in ("block_reward", "fruit_reward"):
+            v = getattr(self, name)
+            if not is_number(v):
+                raise ConfigError(f"{name} must be a number, got {v!r}")
         if self.block_reward < 0 or self.fruit_reward < 0:
             raise ConfigError("rewards must be non-negative")
 
@@ -125,9 +147,11 @@ class SimulationConfig:
                 raise ConfigError(f"miner {m.id} power {m.power} outside (0, 1]")
         total = sum(m.power for m in miners)
         if abs(total - 1.0) > POWER_SUM_TOL:
-            raise ConfigError(f"miner powers sum to {total!r}, expected 1.0")
+            raise ConfigError(f"miner powers must sum to 1, got {total!r}")
         if not (0.0 <= self.gamma <= 1.0):
             raise ConfigError(f"gamma {self.gamma} outside [0, 1]")
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
         proto = ProtocolName(self.protocol)
         object.__setattr__(self, "protocol", proto)
         params = self.protocol_params
@@ -194,6 +218,25 @@ def config_digest(config: SimulationConfig) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+def _attacker_config(protocol, powers, honest, gamma, rounds, master_seed, protocol_params):
+    """Selfish miners at ``powers`` plus one aggregate honest miner at ``honest``."""
+    if honest <= 0.0:
+        raise ConfigError("attacker powers must leave honest power positive")
+    if not powers:
+        raise ConfigError("need at least one attacker")
+    protocol = ProtocolName(protocol)
+    miners = [MinerSpec(i, p, MinerKind.SELFISH) for i, p in enumerate(powers)]
+    miners.append(MinerSpec(len(powers), honest, MinerKind.HONEST))
+    return SimulationConfig(
+        protocol=protocol,
+        miners=tuple(miners),
+        gamma=default_gamma(protocol, len(powers)) if gamma is None else gamma,
+        master_seed=master_seed,
+        end_condition=EndCondition(round_budget=rounds),
+        protocol_params=protocol_params,
+    )
+
+
 def symmetric_attacker_config(
     protocol: ProtocolName,
     n_attackers: int,
@@ -204,21 +247,10 @@ def symmetric_attacker_config(
     protocol_params: object = None,
 ) -> SimulationConfig:
     """k selfish miners at power ``alpha`` each plus one aggregate honest miner."""
-    if n_attackers < 1:
-        raise ConfigError("need at least one attacker")
-    if n_attackers * alpha >= 1.0:
-        raise ConfigError("attacker powers must leave honest power positive")
-    miners = [MinerSpec(i, alpha, MinerKind.SELFISH) for i in range(n_attackers)]
-    miners.append(MinerSpec(n_attackers, 1.0 - n_attackers * alpha, MinerKind.HONEST))
-    if gamma is None:
-        gamma = default_gamma(ProtocolName(protocol), n_attackers)
-    return SimulationConfig(
-        protocol=ProtocolName(protocol),
-        miners=tuple(miners),
-        gamma=gamma,
-        master_seed=master_seed,
-        end_condition=EndCondition(round_budget=rounds),
-        protocol_params=protocol_params,
+    honest = 1.0 - n_attackers * alpha
+    powers = [alpha] * n_attackers if honest > 0.0 else []  # a rejected count allocates nothing
+    return _attacker_config(
+        protocol, powers, honest, gamma, rounds, master_seed, protocol_params
     )
 
 
@@ -233,18 +265,6 @@ def rival_attacker_config(
 ) -> SimulationConfig:
     """Attacker of interest at ``alpha_1`` with fixed-power selfish rivals."""
     powers = [alpha_1, *rival_powers]
-    honest = 1.0 - sum(powers)
-    if honest <= 0.0:
-        raise ConfigError("attacker powers must leave honest power positive")
-    miners = [MinerSpec(i, p, MinerKind.SELFISH) for i, p in enumerate(powers)]
-    miners.append(MinerSpec(len(powers), honest, MinerKind.HONEST))
-    if gamma is None:
-        gamma = default_gamma(ProtocolName(protocol), len(powers))
-    return SimulationConfig(
-        protocol=ProtocolName(protocol),
-        miners=tuple(miners),
-        gamma=gamma,
-        master_seed=master_seed,
-        end_condition=EndCondition(round_budget=rounds),
-        protocol_params=protocol_params,
+    return _attacker_config(
+        protocol, powers, 1.0 - sum(powers), gamma, rounds, master_seed, protocol_params
     )

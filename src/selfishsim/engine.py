@@ -130,9 +130,6 @@ class SimulationResult:
     chain_blocks: int  # canonical blocks above genesis, folded ones included
     records: Optional[list] = None
 
-    def revenue_of(self, miner_id: int) -> float:
-        return self.revenues[miner_id]
-
 
 class _Run:
     """Mutable state for one simulation run; also the chain view for cascades."""

@@ -62,27 +62,17 @@ class SweepConfig:
             raise ConfigError(
                 "exactly one of symmetric_attackers and fixed_rivals is required"
             )
-        if self.symmetric_attackers is not None:
-            k = self.symmetric_attackers
-            if k < 1:
-                raise ConfigError("symmetric_attackers must be >= 1")
-            if k * grid[-1] >= 1.0:
-                raise ConfigError(
-                    f"grid point {grid[-1]} with {k} attackers leaves no honest power"
-                )
-        else:
+        if self.fixed_rivals is not None:
             rivals = tuple(float(p) for p in self.fixed_rivals)
             object.__setattr__(self, "fixed_rivals", rivals)
-            if any(not 0.0 < p < 1.0 for p in rivals):
-                raise ConfigError("rival powers must lie in (0, 1)")
-            if grid[-1] + sum(rivals) >= 1.0:
-                raise ConfigError(
-                    f"grid point {grid[-1]} plus rivals leaves no honest power"
-                )
+            if not rivals:
+                raise ConfigError("fixed_rivals must not be empty")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
+        # The largest grid power leaves the least honest power, so its
+        # config meets every power, gamma, params and rounds rule that
+        # any grid point must.
+        self.point_config(grid[-1])
 
     def key(self) -> tuple:
         """Series key for thresholds.json: protocol, gamma, attacker count, rivals."""
@@ -174,15 +164,17 @@ def run_sweep(cfg: SweepConfig, on_result=None) -> list:
     return points
 
 
-def _interp_crossing(alpha_lo, mean_lo, alpha_hi, mean_hi) -> float:
-    """Root of the linear excess (mean - alpha) through the bracket, clamped."""
-    d_lo = mean_lo - alpha_lo
-    d_hi = mean_hi - alpha_hi
-    if d_lo >= 0.0:
-        return alpha_lo
-    if d_hi < 0.0:
-        return alpha_hi
-    return alpha_lo + (alpha_hi - alpha_lo) * (-d_lo) / (d_hi - d_lo)
+def _interp_crossing(alpha_lo, mean_lo, alpha_hi, mean_hi):
+    """Root of the linear excess (mean - alpha) through the bracket, clamped.
+
+    Means may be scalars or arrays of resampled means.  A lane that a
+    clamp decides may divide by zero; its quotient is discarded.
+    """
+    d_lo = np.asarray(mean_lo, dtype=float) - alpha_lo
+    d_hi = np.asarray(mean_hi, dtype=float) - alpha_hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = alpha_lo + (alpha_hi - alpha_lo) * (-d_lo) / (d_hi - d_lo)
+    return np.where(d_lo >= 0.0, alpha_lo, np.where(d_hi < 0.0, alpha_hi, inside))
 
 
 def estimate_threshold(
@@ -215,7 +207,7 @@ def estimate_threshold(
         if lo is None:
             return ThresholdEstimate(threshold=None)
 
-    threshold = _interp_crossing(lo.alpha, lo.mean_revenue, hi.alpha, hi.mean_revenue)
+    threshold = float(_interp_crossing(lo.alpha, lo.mean_revenue, hi.alpha, hi.mean_revenue))
 
     rng = np.random.default_rng(seed)
     lo_runs = np.asarray(lo.run_revenues)
@@ -223,14 +215,12 @@ def estimate_threshold(
     n = lo_runs.shape[0]
     lo_means = lo_runs[rng.integers(0, n, size=(resamples, n))].mean(axis=1)
     hi_means = hi_runs[rng.integers(0, n, size=(resamples, n))].mean(axis=1)
-    crossings = np.empty(resamples)
-    for i in range(resamples):
-        crossings[i] = _interp_crossing(lo.alpha, lo_means[i], hi.alpha, hi_means[i])
+    crossings = _interp_crossing(lo.alpha, lo_means, hi.alpha, hi_means)
     ci_lo, ci_hi = np.percentile(crossings, (2.5, 97.5))
     eps = 1e-9  # percentile interpolation dust must not fail an exact hit
     confirmed = bool(ci_lo - eps <= threshold <= ci_hi + eps)
     return ThresholdEstimate(
-        threshold=float(threshold),
+        threshold=threshold,
         bracket=(lo.alpha, hi.alpha),
         ci95=(float(ci_lo), float(ci_hi)),
         crossing_confirmed=confirmed,

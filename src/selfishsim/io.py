@@ -1,14 +1,20 @@
 """Config files, result tables and run manifests.
 
 A JSON config describes either a single simulation (a ``miners`` list)
-or a power sweep (a ``sweep`` block).  Outputs are written under one
-directory: ``results.csv`` holds one row per (run, miner) with a fixed
-column order, ``thresholds.json`` maps series keys to threshold
-estimates, ``plotdata/`` gets one revenue-curve CSV per series with a
-fair-share baseline column, and ``manifest.json`` records tool version,
-config digest, master seed, timestamp and the files written.  Text
-outputs are UTF-8 with LF line endings; a failed write removes whatever
-partial outputs it created.
+or a power sweep (a ``sweep`` block).  The parser checks only the JSON
+shape: known and required keys, value types, enum names, and which keys
+go together.  Ranges and cross-field rules (powers, gamma, grid order,
+protocol parameters) belong to the config classes it builds, and every
+error names the config file once.
+
+Outputs are written under one directory: ``results.csv`` holds one row
+per (run, miner) with the ``ResultRow`` fields as columns,
+``thresholds.json`` maps series keys to threshold estimates,
+``plotdata/`` gets one revenue-curve CSV per series with a fair-share
+baseline column, and ``manifest.json`` records the ``RunManifest``
+fields: tool version, config digest, master seed, timestamp and the
+files written.  Text outputs are UTF-8 with LF line endings; a failed
+write removes whatever partial outputs it created.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple, Union
@@ -32,36 +38,11 @@ from .config import (
     StrongchainParams,
     config_digest,
     default_gamma,
+    is_int,
+    is_number,
 )
 from .engine import SimulationResult
 from .experiments import SweepConfig, ThresholdEstimate
-
-RESULT_COLUMNS = (
-    "protocol",
-    "gamma",
-    "n_attackers",
-    "alpha_per_attacker",
-    "run_index",
-    "rounds",
-    "seed",
-    "miner_id",
-    "miner_kind",
-    "revenue",
-    "fair_share",
-)
-
-_TOP_KEYS = {
-    "protocol",
-    "miners",
-    "sweep",
-    "gamma",
-    "rounds",
-    "repeats",
-    "seed",
-    "protocol_params",
-    "end_condition",
-}
-
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -98,6 +79,13 @@ class RunManifest:
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal form, stable across runs."""
     return repr(float(x))
+
+
+# results.csv columns are the ResultRow fields in order; each column's
+# (format, parse) pair follows the field's type.
+_CODECS = {"str": (str, str), "int": (str, int), "float": (_fmt, float)}
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_COLUMN_CODECS = tuple(_CODECS[f.type] for f in fields(ResultRow))
 
 
 def rows_from_result(result: SimulationResult) -> list:
@@ -143,182 +131,164 @@ def describe_digest(cfg: Union[SimulationConfig, SweepConfig, list]) -> str:
 
 # -- config parsing ----------------------------------------------------------
 
+_TOP_KEYS = (
+    "protocol",
+    "miners",
+    "sweep",
+    "gamma",
+    "rounds",
+    "repeats",
+    "seed",
+    "protocol_params",
+    "end_condition",
+)
+_PARAMS = {ProtocolName.STRONGCHAIN: StrongchainParams, ProtocolName.FRUITCHAIN: FruitchainParams}
 
-def _err(path, msg: str) -> ConfigError:
-    return ConfigError(f"{path}: {msg}")
+_INT = ("an integer", is_int)
+_NUMBER = ("a number", is_number)
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(is_number, v)))
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
+_OBJECTS = (
+    "a list of objects",
+    lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+)
 
 
-def _require_int(path, obj: dict, key: str, minimum: int) -> Optional[int]:
-    if key not in obj or obj[key] is None:
-        return None
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise _err(path, f"key '{key}': expected an integer, got {v!r}")
-    if v < minimum:
-        raise _err(path, f"key '{key}': must be >= {minimum}, got {v}")
+def _value(obj: dict, key: str, kind, where: str = "", default=None, required: bool = False):
+    """``obj[key]`` checked against a JSON value kind.
+
+    An optional key that is absent or null gives ``default``; a required
+    key must be present, and null fails its kind.
+    """
+    if required and key not in obj:
+        raise ConfigError(f"{where}missing required key '{key}'")
+    v = obj.get(key)
+    if v is None and not required:
+        return default
+    what, ok = kind
+    if not ok(v):
+        raise ConfigError(f"{where}key '{key}': expected {what}, got {v!r}")
     return v
 
 
-def _parse_protocol(path, raw: dict) -> ProtocolName:
-    if "protocol" not in raw:
-        raise _err(path, "missing required key 'protocol'")
+def _enum(cls, obj: dict, key: str, where: str = ""):
+    if key not in obj:
+        raise ConfigError(f"{where}missing required key '{key}'")
     try:
-        return ProtocolName(raw["protocol"])
+        return cls(obj[key])
     except ValueError:
-        names = ", ".join(p.value for p in ProtocolName)
-        raise _err(
-            path, f"key 'protocol': unknown protocol {raw['protocol']!r} (expected one of {names})"
+        names = ", ".join(e.value for e in cls)
+        raise ConfigError(
+            f"{where}key '{key}': unknown {key} {obj[key]!r} (expected one of {names})"
         ) from None
 
 
-def _parse_params(path, proto: ProtocolName, raw: dict):
-    if "protocol_params" not in raw or raw["protocol_params"] is None:
-        return None
-    d = raw["protocol_params"]
-    if not isinstance(d, dict):
-        raise _err(path, "key 'protocol_params': expected an object")
-    if proto is ProtocolName.NAKAMOTO:
-        raise _err(path, "key 'protocol_params': nakamoto takes no protocol parameters")
-    allowed = (
-        {"ratio"}
-        if proto is ProtocolName.STRONGCHAIN
-        else {"fruit_ratio", "freshness_window", "block_reward", "fruit_reward"}
-    )
-    unknown = set(d) - allowed
+def _known(obj: dict, allowed, where: str = "") -> None:
+    unknown = set(obj) - set(allowed)
     if unknown:
-        raise _err(
-            path,
-            f"key 'protocol_params': unknown key {sorted(unknown)[0]!r} "
-            f"(allowed: {', '.join(sorted(allowed))})",
+        raise ConfigError(
+            f"{where}unknown key {sorted(unknown)[0]!r} (allowed: {', '.join(sorted(allowed))})"
         )
+
+
+def _build(where: str, cls, **kwargs):
+    """``cls(**kwargs)``, naming the config key its ConfigError comes from."""
     try:
-        if proto is ProtocolName.STRONGCHAIN:
-            return StrongchainParams(**d)
-        return FruitchainParams(**d)
-    except (ConfigError, TypeError, ValueError) as e:
-        raise _err(path, f"key 'protocol_params': {e}") from None
-
-
-def _parse_gamma(path, raw: dict, proto: ProtocolName, n_selfish: int) -> float:
-    if "gamma" not in raw or raw["gamma"] is None:
-        return default_gamma(proto, n_selfish)
-    g = raw["gamma"]
-    if isinstance(g, bool) or not isinstance(g, (int, float)):
-        raise _err(path, f"key 'gamma': expected a number, got {g!r}")
-    if not 0.0 <= g <= 1.0:
-        raise _err(path, f"key 'gamma': must lie in [0, 1], got {g}")
-    return float(g)
-
-
-def _parse_miners(path, raw_miners) -> list:
-    if not isinstance(raw_miners, list) or not raw_miners:
-        raise _err(path, "key 'miners': expected a non-empty list of miner objects")
-    miners = []
-    for i, m in enumerate(raw_miners):
-        if not isinstance(m, dict):
-            raise _err(path, f"key 'miners': entry {i} is not an object")
-        unknown = set(m) - {"id", "power", "kind"}
-        if unknown:
-            raise _err(path, f"key 'miners': entry {i} has unknown key {sorted(unknown)[0]!r}")
-        if "power" not in m:
-            raise _err(path, f"key 'miners': entry {i} is missing 'power'")
-        if "kind" not in m:
-            raise _err(path, f"key 'miners': entry {i} is missing 'kind'")
-        power = m["power"]
-        if isinstance(power, bool) or not isinstance(power, (int, float)):
-            raise _err(path, f"key 'miners': entry {i}: 'power' must be a number")
-        if not 0.0 < power <= 1.0:
-            raise _err(path, f"key 'miners': entry {i}: 'power' must lie in (0, 1]")
-        try:
-            kind = MinerKind(m["kind"])
-        except ValueError:
-            raise _err(
-                path,
-                f"key 'miners': entry {i}: unknown kind {m['kind']!r} "
-                f"(expected 'honest' or 'selfish')",
-            ) from None
-        mid = m.get("id", i)
-        if isinstance(mid, bool) or not isinstance(mid, int):
-            raise _err(path, f"key 'miners': entry {i}: 'id' must be an integer")
-        miners.append(MinerSpec(id=mid, power=float(power), kind=kind))
-    total = sum(m.power for m in miners)
-    if abs(total - 1.0) > 1e-9:
-        raise _err(path, f"key 'miners': powers must sum to 1, got {total}")
-    return miners
-
-
-def _parse_end_condition(path, raw: dict) -> EndCondition:
-    has_rounds = raw.get("rounds") is not None
-    has_end = raw.get("end_condition") is not None
-    if has_rounds and has_end:
-        raise _err(path, "keys 'rounds' and 'end_condition' are mutually exclusive")
-    if has_end:
-        ec = raw["end_condition"]
-        if not isinstance(ec, dict):
-            raise _err(path, "key 'end_condition': expected an object")
-        unknown = set(ec) - {"round_budget", "target_height"}
-        if unknown:
-            raise _err(path, f"key 'end_condition': unknown key {sorted(unknown)[0]!r}")
-        budget = _require_int(path, ec, "round_budget", 1)
-        target = _require_int(path, ec, "target_height", 1)
-        try:
-            return EndCondition(round_budget=budget, target_height=target)
-        except ConfigError as e:
-            raise _err(path, f"key 'end_condition': {e}") from None
-    rounds = _require_int(path, raw, "rounds", 1)
-    return EndCondition(round_budget=rounds if rounds is not None else 100_000)
-
-
-def _parse_sweep(path, proto, raw: dict, seed: int):
-    sw = raw["sweep"]
-    if not isinstance(sw, dict):
-        raise _err(path, "key 'sweep': expected an object")
-    unknown = set(sw) - {"alpha_grid", "attackers", "rivals"}
-    if unknown:
-        raise _err(path, f"key 'sweep': unknown key {sorted(unknown)[0]!r}")
-    if "alpha_grid" not in sw:
-        raise _err(path, "key 'sweep': missing required key 'alpha_grid'")
-    grid = sw["alpha_grid"]
-    if not isinstance(grid, list) or not grid:
-        raise _err(path, "key 'sweep': 'alpha_grid' must be a non-empty list of numbers")
-    if any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in grid):
-        raise _err(path, "key 'sweep': 'alpha_grid' must be a non-empty list of numbers")
-    has_k = sw.get("attackers") is not None
-    has_r = sw.get("rivals") is not None
-    if has_k == has_r:
-        raise _err(path, "key 'sweep': exactly one of 'attackers' and 'rivals' is required")
-    if raw.get("end_condition") is not None:
-        raise _err(path, "key 'end_condition': only applies to simulate configs (use 'rounds')")
-    if has_k:
-        k = _require_int(path, sw, "attackers", 1)
-        rivals = None
-        n_selfish = k
-    else:
-        rv = sw["rivals"]
-        if not isinstance(rv, list) or not rv:
-            raise _err(path, "key 'sweep': 'rivals' must be a non-empty list of numbers")
-        if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in rv):
-            raise _err(path, "key 'sweep': 'rivals' must be a non-empty list of numbers")
-        k = None
-        rivals = tuple(float(p) for p in rv)
-        n_selfish = 1 + len(rivals)
-    gamma = _parse_gamma(path, raw, proto, n_selfish)
-    repeats = _require_int(path, raw, "repeats", 1)
-    rounds = _require_int(path, raw, "rounds", 1)
-    try:
-        return SweepConfig(
-            protocol=proto,
-            alpha_grid=tuple(float(a) for a in grid),
-            symmetric_attackers=k,
-            fixed_rivals=rivals,
-            gamma=gamma,
-            repeats=repeats if repeats is not None else 5,
-            rounds=rounds if rounds is not None else 100_000,
-            master_seed=seed,
-            protocol_params=_parse_params(path, proto, raw),
-        )
+        return cls(**kwargs)
     except ConfigError as e:
-        raise _err(path, f"key 'sweep': {e}") from None
+        raise ConfigError(f"{where}{e}") from None
+
+
+def _parse_params(proto: ProtocolName, raw: dict):
+    d = _value(raw, "protocol_params", _OBJECT)
+    if d is None:
+        return None
+    where = "key 'protocol_params': "
+    cls = _PARAMS.get(proto)
+    if cls is None:
+        raise ConfigError(f"{where}nakamoto takes no protocol parameters")
+    _known(d, [f.name for f in fields(cls)], where)
+    return _build(where, cls, **d)
+
+
+def _parse_gamma(raw: dict, proto: ProtocolName, n_selfish: int) -> float:
+    g = _value(raw, "gamma", _NUMBER)
+    return default_gamma(proto, n_selfish) if g is None else float(g)
+
+
+def _parse_miners(raw: dict) -> tuple:
+    miners = []
+    for i, m in enumerate(_value(raw, "miners", _OBJECTS)):
+        where = f"key 'miners': entry {i}: "
+        _known(m, ("id", "power", "kind"), where)
+        power = _value(m, "power", _NUMBER, where, required=True)
+        kind = _enum(MinerKind, m, "kind", where)
+        mid = _value(m, "id", _INT, where, required=True) if "id" in m else i
+        miners.append(MinerSpec(id=mid, power=float(power), kind=kind))
+    return tuple(miners)
+
+
+def _parse_end_condition(raw: dict) -> EndCondition:
+    rounds = _value(raw, "rounds", _INT)
+    ec = _value(raw, "end_condition", _OBJECT)
+    if ec is None:
+        budget = 100_000 if rounds is None else rounds
+        return _build("key 'rounds': ", EndCondition, round_budget=budget)
+    if rounds is not None:
+        raise ConfigError("keys 'rounds' and 'end_condition' are mutually exclusive")
+    where = "key 'end_condition': "
+    _known(ec, ("round_budget", "target_height"), where)
+    return _build(
+        where,
+        EndCondition,
+        round_budget=_value(ec, "round_budget", _INT, where),
+        target_height=_value(ec, "target_height", _INT, where),
+    )
+
+
+def _parse_sweep(proto: ProtocolName, raw: dict, seed: int) -> SweepConfig:
+    if raw.get("end_condition") is not None:
+        raise ConfigError("key 'end_condition': only applies to simulate configs (use 'rounds')")
+    where = "key 'sweep': "
+    sw = _value(raw, "sweep", _OBJECT)
+    _known(sw, ("alpha_grid", "attackers", "rivals"), where)
+    grid = _value(sw, "alpha_grid", _NUMBERS, where, required=True)
+    k = _value(sw, "attackers", _INT, where)
+    rivals = _value(sw, "rivals", _NUMBERS, where)
+    return SweepConfig(
+        protocol=proto,
+        alpha_grid=tuple(grid),
+        symmetric_attackers=k,
+        fixed_rivals=None if rivals is None else tuple(rivals),
+        gamma=_parse_gamma(raw, proto, k if k is not None else 1 + len(rivals or ())),
+        repeats=_value(raw, "repeats", _INT, default=5),
+        rounds=_value(raw, "rounds", _INT, default=100_000),
+        master_seed=seed,
+        protocol_params=_parse_params(proto, raw),
+    )
+
+
+def _parse(raw) -> Union[SimulationConfig, SweepConfig]:
+    if not isinstance(raw, dict):
+        raise ConfigError("top level must be a JSON object")
+    _known(raw, _TOP_KEYS)
+    proto = _enum(ProtocolName, raw, "protocol")
+    if (raw.get("miners") is None) == (raw.get("sweep") is None):
+        raise ConfigError("exactly one of keys 'miners' and 'sweep' is required")
+    seed = _value(raw, "seed", _INT, default=0)
+    if raw.get("sweep") is not None:
+        return _parse_sweep(proto, raw, seed)
+    if raw.get("repeats") is not None:
+        raise ConfigError("key 'repeats': only applies to sweep configs")
+    miners = _parse_miners(raw)
+    return SimulationConfig(
+        protocol=proto,
+        miners=miners,
+        gamma=_parse_gamma(raw, proto, sum(m.kind is MinerKind.SELFISH for m in miners)),
+        master_seed=seed,
+        end_condition=_parse_end_condition(raw),
+        protocol_params=_parse_params(proto, raw),
+    )
 
 
 def parse_config(path) -> Union[SimulationConfig, SweepConfig]:
@@ -328,67 +298,26 @@ def parse_config(path) -> Union[SimulationConfig, SweepConfig]:
     grid) must be present.  Omitted knobs fall back to the documented
     defaults: 100000 rounds, 5 repeats, seed 0, protocol-default
     parameters, and the usual tie-break rate for the scenario shape.
+    Every error is a ConfigError whose message names the file once.
     """
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as e:
-        raise _err(p, f"cannot read config: {e}") from None
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise _err(p, f"invalid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise _err(p, "top level must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise _err(p, f"unknown key {sorted(unknown)[0]!r}")
-    proto = _parse_protocol(p, raw)
-    has_miners = raw.get("miners") is not None
-    has_sweep = raw.get("sweep") is not None
-    if has_miners == has_sweep:
-        raise _err(p, "exactly one of keys 'miners' and 'sweep' is required")
-    seed = _require_int(p, raw, "seed", 0)
-    seed = seed if seed is not None else 0
-
-    if has_sweep:
-        return _parse_sweep(p, proto, raw, seed)
-
-    if raw.get("repeats") is not None:
-        raise _err(p, "key 'repeats': only applies to sweep configs")
-    miners = _parse_miners(p, raw["miners"])
-    n_selfish = sum(1 for m in miners if m.kind is MinerKind.SELFISH)
-    gamma = _parse_gamma(p, raw, proto, n_selfish)
-    try:
-        return SimulationConfig(
-            protocol=proto,
-            miners=tuple(miners),
-            gamma=gamma,
-            master_seed=seed,
-            end_condition=_parse_end_condition(p, raw),
-            protocol_params=_parse_params(p, proto, raw),
-        )
+        try:
+            raw = json.loads(p.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config: {e}") from None
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"invalid JSON: {e}") from None
+        return _parse(raw)
     except ConfigError as e:
-        raise _err(p, str(e)) from None
+        raise ConfigError(f"{p}: {e}") from None
 
 
 # -- output writing ----------------------------------------------------------
 
 
 def _row_values(row: ResultRow) -> list:
-    return [
-        row.protocol,
-        _fmt(row.gamma),
-        str(row.n_attackers),
-        row.alpha_per_attacker,
-        str(row.run_index),
-        str(row.rounds),
-        str(row.seed),
-        str(row.miner_id),
-        row.miner_kind,
-        _fmt(row.revenue),
-        _fmt(row.fair_share),
-    ]
+    return [fmt(getattr(row, c)) for c, (fmt, _) in zip(RESULT_COLUMNS, _COLUMN_CODECS)]
 
 
 def _threshold_key(key: tuple) -> str:
@@ -513,20 +442,7 @@ def write_results(
             outputs=tuple(outputs + ["manifest.json"]),
         )
         man_path = _creating(out / "manifest.json")
-        man_path.write_text(
-            json.dumps(
-                {
-                    "tool_version": manifest.tool_version,
-                    "config_digest": manifest.config_digest,
-                    "master_seed": manifest.master_seed,
-                    "timestamp": manifest.timestamp,
-                    "outputs": list(manifest.outputs),
-                },
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        man_path.write_text(json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
         return manifest
     except BaseException:
         for p in created:
@@ -552,21 +468,7 @@ def read_results(path) -> list:
         if tuple(header or ()) != RESULT_COLUMNS:
             raise ValueError(f"{p}: unexpected results.csv header: {header}")
         for rec in reader:
-            rows.append(
-                ResultRow(
-                    protocol=rec[0],
-                    gamma=float(rec[1]),
-                    n_attackers=int(rec[2]),
-                    alpha_per_attacker=rec[3],
-                    run_index=int(rec[4]),
-                    rounds=int(rec[5]),
-                    seed=int(rec[6]),
-                    miner_id=int(rec[7]),
-                    miner_kind=rec[8],
-                    revenue=float(rec[9]),
-                    fair_share=float(rec[10]),
-                )
-            )
+            rows.append(ResultRow(*(parse(v) for v, (_, parse) in zip(rec, _COLUMN_CODECS))))
     return rows
 
 
@@ -576,13 +478,13 @@ def read_thresholds(path) -> dict:
     raw = json.loads(p.read_text(encoding="utf-8"))
     out = {}
     for name, entry in raw.items():
-        fields = name.split(" ")
-        proto = fields[0]
-        gamma = float(fields[1].removeprefix("g="))
-        k = int(fields[2].removeprefix("k="))
+        parts = name.split(" ")
+        proto = parts[0]
+        gamma = float(parts[1].removeprefix("g="))
+        k = int(parts[2].removeprefix("k="))
         key: tuple = (proto, gamma, k)
-        if len(fields) > 3:
-            rivals = tuple(float(x) for x in fields[3].removeprefix("rivals=").split(","))
+        if len(parts) > 3:
+            rivals = tuple(float(x) for x in parts[3].removeprefix("rivals=").split(","))
             key = (proto, gamma, k, rivals)
         out[key] = ThresholdEstimate(
             threshold=entry["threshold"],

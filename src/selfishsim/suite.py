@@ -101,9 +101,9 @@ FRUIT_GAMMA_PAIR = ("fruitchain-k1-g0.0", "fruitchain-k1-g1.0")
 FRUIT_GAMMA_GAP_MAX = 0.01
 
 
-def evaluate_cell(cell: ThresholdCell, on_result=None) -> ThresholdEstimate:
+def evaluate_cell(cell: ThresholdCell) -> ThresholdEstimate:
     """Run one cell's sweep and estimate its threshold."""
-    return estimate_threshold(run_sweep(cell.sweep, on_result=on_result))
+    return estimate_threshold(run_sweep(cell.sweep))
 
 
 def cell_passes(cell: ThresholdCell, est: ThresholdEstimate) -> bool:

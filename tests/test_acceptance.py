@@ -17,9 +17,13 @@ from selfishsim.config import ProtocolName, symmetric_attacker_config
 from selfishsim.engine import run_simulation
 from selfishsim.experiments import estimate_threshold, run_sweep
 from selfishsim.suite import (
+    FAIRNESS_TOLERANCE,
     FRUIT_GAMMA_GAP_MAX,
     FRUIT_GAMMA_PAIR,
     MASTER_SEED,
+    ORACLE_ALPHAS,
+    ORACLE_GAMMAS,
+    ORACLE_TOLERANCE,
     RIVAL_LEVELS,
     cell_passes,
     evaluate_cell,
@@ -200,8 +204,8 @@ def test_c6_engine_matches_markov_oracle():
                 closed_form_revenue(a, g), abs=1e-9
             )
     worst = 0.0
-    for alpha in (0.10, 0.15, 0.20, 0.25):
-        for gamma in (0.0, 0.5, 1.0):
+    for alpha in ORACLE_ALPHAS:
+        for gamma in ORACLE_GAMMAS:
             cfg = symmetric_attacker_config(
                 ProtocolName.NAKAMOTO, 1, alpha, gamma=gamma, master_seed=MASTER_SEED
             )
@@ -209,10 +213,11 @@ def test_c6_engine_matches_markov_oracle():
                 run_simulation(cfg, run_index=i).revenues[0] for i in range(5)
             ) / 5
             worst = max(worst, abs(mean - stationary_revenue(alpha, gamma)))
-    ok = worst <= 0.005
+    ok = worst <= ORACLE_TOLERANCE
     line = (
-        f"C6 single-attacker engine vs stationary oracle (12 points):"
-        f" worst |diff| {worst:.5f} <= 0.00500 -> {'PASS' if ok else 'FAIL'}"
+        f"C6 single-attacker engine vs stationary oracle"
+        f" ({len(ORACLE_ALPHAS) * len(ORACLE_GAMMAS)} points):"
+        f" worst |diff| {worst:.5f} <= {ORACLE_TOLERANCE:.5f} -> {'PASS' if ok else 'FAIL'}"
     )
     record_acceptance(line)
     print(line)
@@ -229,11 +234,11 @@ def test_c7_honest_only_fairness():
         per_proto.setdefault(key, []).append(gap)
         worst = max(worst, gap)
     means = {k: sum(v) / len(v) for k, v in per_proto.items()}
-    ok = all(m <= 0.01 for m in means.values()) and worst <= 0.01
+    ok = all(m <= FAIRNESS_TOLERANCE for m in means.values()) and worst <= FAIRNESS_TOLERANCE
     detail = ", ".join(f"{k}={v:.5f}" for k, v in sorted(means.items()))
     line = (
         f"C7 honest-only fairness (mean |revenue - power|): {detail},"
-        f" worst run {worst:.5f} <= 0.01000 -> {'PASS' if ok else 'FAIL'}"
+        f" worst run {worst:.5f} <= {FAIRNESS_TOLERANCE:.5f} -> {'PASS' if ok else 'FAIL'}"
     )
     record_acceptance(line)
     print(line)

@@ -1,13 +1,16 @@
 """Sweeps, threshold interpolation and its bootstrap interval."""
 
 import dataclasses
+import warnings
 
+import numpy as np
 import pytest
 
-from selfishsim.config import ConfigError, ProtocolName
+from selfishsim.config import ConfigError, ProtocolName, StrongchainParams
 from selfishsim.experiments import (
     RevenuePoint,
     SweepConfig,
+    _interp_crossing,
     estimate_threshold,
     run_sweep,
     threshold_search,
@@ -45,6 +48,32 @@ def test_no_crossing_reports_none():
     assert est.threshold is None
     assert est.bracket is None
     assert not est.crossing_confirmed
+
+
+def _scalar_crossing(alpha_lo, mean_lo, alpha_hi, mean_hi):
+    d_lo, d_hi = mean_lo - alpha_lo, mean_hi - alpha_hi
+    if d_lo >= 0.0:
+        return alpha_lo
+    if d_hi < 0.0:
+        return alpha_hi
+    return alpha_lo + (alpha_hi - alpha_lo) * (-d_lo) / (d_hi - d_lo)
+
+
+def test_crossing_lanes_match_scalar_rule():
+    # Resampled lanes must equal the one-at-a-time clamp-and-interpolate
+    # rule bit for bit, including lanes where a clamp hides a 0/0.
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        alpha_lo = float(rng.uniform(0.05, 0.45))
+        alpha_hi = alpha_lo + float(rng.choice([0.0, 0.01, 0.02]))
+        lo = rng.choice(alpha_lo + rng.normal(0.0, 0.01, 8), 300)
+        hi = rng.choice(alpha_hi + rng.normal(0.0, 0.01, 8), 300)
+        hi[:20] = lo[:20] - alpha_lo + alpha_hi  # equal excess: zero divisor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lanes = _interp_crossing(alpha_lo, lo, alpha_hi, hi)
+        expected = [_scalar_crossing(alpha_lo, a, alpha_hi, b) for a, b in zip(lo, hi)]
+        assert lanes.tolist() == expected
 
 
 def test_estimator_input_validation():
@@ -130,6 +159,10 @@ def test_sweep_config_validation():
             fixed_rivals=(0.7,),
             master_seed=1,
         )
+    with pytest.raises(ConfigError, match="gamma"):
+        dataclasses.replace(_tiny_sweep(), gamma=3.0)
+    with pytest.raises(ConfigError, match="no protocol parameters"):
+        dataclasses.replace(_tiny_sweep(), protocol_params=StrongchainParams())
 
 
 def test_rival_sweep_tracks_attacker_one():

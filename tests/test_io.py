@@ -1,6 +1,8 @@
 """Config parsing, result files, round trips, failure cleanup."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,17 @@ def test_parse_target_height(tmp_path):
         (lambda d: d.update(rounds=5000, end_condition={"round_budget": 10}), "mutually exclusive"),
         (lambda d: d.update(protocol_params={"pace": 3}), "unknown key"),
         (lambda d: d.update(protocol="nakamoto", protocol_params={"ratio": 2}), "no protocol parameters"),
+        (lambda d: d.update(protocol_params={"ratio": 2.5}), "ratio must be an integer"),
+        (lambda d: d.update(protocol_params={"ratio": True}), "ratio must be an integer"),
+        (lambda d: d.update(protocol_params={"ratio": "3"}), "ratio must be an integer"),
+        (lambda d: d.update(protocol="fruitchain", protocol_params={"fruit_ratio": 2.5}),
+         "fruit_ratio must be an integer"),
+        (lambda d: d.update(protocol="fruitchain", protocol_params={"freshness_window": 1.5}),
+         "freshness_window must be an integer"),
+        (lambda d: d.update(protocol="fruitchain", protocol_params={"fruit_reward": True}),
+         "fruit_reward must be a number"),
+        (lambda d: d.update(protocol="fruitchain", protocol_params={"block_reward": "x"}),
+         "block_reward must be a number"),
     ],
 )
 def test_parse_simulation_errors(tmp_path, mutate, needle):
@@ -123,7 +136,7 @@ def test_parse_simulation_errors(tmp_path, mutate, needle):
     path = _write(tmp_path, payload)
     with pytest.raises(ConfigError, match=needle) as err:
         parse_config(path)
-    assert str(path) in str(err.value)
+    assert str(err.value).count(str(path)) == 1
 
 
 @pytest.mark.parametrize(
@@ -142,8 +155,21 @@ def test_parse_simulation_errors(tmp_path, mutate, needle):
 def test_parse_sweep_errors(tmp_path, mutate, needle):
     payload = json.loads(json.dumps(SWEEP_PAYLOAD))
     mutate(payload)
-    with pytest.raises(ConfigError, match=needle):
-        parse_config(_write(tmp_path, payload))
+    path = _write(tmp_path, payload)
+    with pytest.raises(ConfigError, match=needle) as err:
+        parse_config(path)
+    assert str(err.value).count(str(path)) == 1
+
+
+def test_readme_cli_examples_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    parsed = []
+    for i, text in enumerate(re.findall(r"```json\n(.*?)```", cli_section, flags=re.S)):
+        path = tmp_path / f"example{i}.json"
+        path.write_text(text, encoding="utf-8")
+        parsed.append(parse_config(path))
+    assert [type(cfg) for cfg in parsed] == [SimulationConfig, SweepConfig]
 
 
 def test_parse_bad_json_and_missing_file(tmp_path):
