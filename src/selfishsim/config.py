@@ -9,6 +9,7 @@ from enum import Enum
 from typing import Optional
 
 POWER_SUM_TOL = 1e-9
+MAX_MINERS = 1_000  # far above the paper's seven attackers; bounds the miner list
 
 
 class ConfigError(ValueError):
@@ -23,6 +24,11 @@ def is_int(v) -> bool:
 def is_number(v) -> bool:
     """True for an int or float that is not a bool."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_miner_count(n: int) -> None:
+    if n > MAX_MINERS:
+        raise ConfigError(f"at most {MAX_MINERS} miners are supported, got {n}")
 
 
 def _check_count(name: str, v) -> None:
@@ -140,6 +146,7 @@ class SimulationConfig:
         object.__setattr__(self, "miners", miners)
         if not miners:
             raise ConfigError("at least one miner is required")
+        _check_miner_count(len(miners))
         for i, m in enumerate(miners):
             if m.id != i:
                 raise ConfigError(f"miner ids must be contiguous from 0, got {m.id} at position {i}")
@@ -247,10 +254,10 @@ def symmetric_attacker_config(
     protocol_params: object = None,
 ) -> SimulationConfig:
     """k selfish miners at power ``alpha`` each plus one aggregate honest miner."""
+    _check_miner_count(n_attackers + 1)  # before the power list is built
     honest = 1.0 - n_attackers * alpha
-    powers = [alpha] * n_attackers if honest > 0.0 else []  # a rejected count allocates nothing
     return _attacker_config(
-        protocol, powers, honest, gamma, rounds, master_seed, protocol_params
+        protocol, [alpha] * n_attackers, honest, gamma, rounds, master_seed, protocol_params
     )
 
 

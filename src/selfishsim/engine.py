@@ -14,12 +14,14 @@ on it with ratio 1 and every artifact strong, so a block weighs one unit
 and no weak header is ever mined.  On the fruit path a block counts
 ``fruit_ratio`` units plus one per fruit it embeds.  A released branch
 replaces the suffix above the releaser's fork anchor.  During a tie the
-equal-strength released branches are kept alongside the main line until one
-side gains strictly greater strength.
+matched attackers' own branches, released at the main line's strength, race
+it until one side gains strictly greater strength: a matched attacker keeps
+mining its branch and publishes it on its first gain, and an honest leader
+that picks a released branch extends it.
 
 Heights are absolute; the run holds only the live suffix of the canonical
 chain, ``chain[h - base]`` being the block at height ``h``.  At each chunk
-start, blocks below the lowest live anchor (a withheld or open tie branch's,
+start, blocks below the lowest live anchor (a withheld or released branch's,
 else the tip; fruitchain keeps ``freshness_window - 1`` more) are folded into
 per-miner reward totals and dropped: anchors are only taken at the tip, so no
 release can replace them, and a fruit pointing below ``base`` is stale for
@@ -85,29 +87,18 @@ class Block:
 
 
 @dataclass
-class AltBranch:
-    """A released branch competing with the main line during a tie."""
-
-    owner: int
-    anchor_index: int
-    anchor_bid: int
-    blocks: list
-    pend_wh: list
-    pend_fruits: list = field(default_factory=list)
-
-
-@dataclass
 class Tie:
-    """Equal-strength race: main line versus released alternatives.
+    """Equal-strength race: main line versus released alternatives."""
 
-    ``main_owner`` tags who the contested main-line suffix belongs to
-    (HONEST_BRANCH or an attacker id); it decides whether the propagation
-    factor gamma or an even split steers honest leaders' branch choice.
-    """
-
-    level: int
+    level: int  # the strength of the main line and of every released branch
+    # Who the contested main-line suffix belongs to (HONEST_BRANCH or an
+    # attacker id); it decides whether the propagation factor gamma or an
+    # even split steers honest leaders' branch choice.
     main_owner: object
-    alts: list
+    alts: list  # the matched AttackerStates, whose branches race, in match order
+    # Owner id -> honest fruits (miner, pointer bid, pointer height) that
+    # point into that owner's released branch; they go public if it wins.
+    fruits: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -186,12 +177,13 @@ class _Run:
 
     # -- chain view used by strategy.cascade_release ---------------------
 
+    def _canonical(self, bid: int, height: int) -> bool:
+        """True when block ``bid`` is the live canonical block at ``height``."""
+        i = height - self.base
+        return 0 <= i < len(self.chain) and self.chain[i].bid == bid
+
     def anchor_alive(self, att: AttackerState) -> bool:
-        i = att.anchor_index
-        if i < 0:
-            return True
-        i -= self.base
-        return i < len(self.chain) and self.chain[i].bid == att.anchor_bid
+        return att.anchor_index < 0 or self._canonical(att.anchor_bid, att.anchor_index)
 
     def public_units_from(self, att: AttackerState) -> int:
         return self.public_units - self.chain[att.anchor_index - self.base].cum
@@ -202,31 +194,39 @@ class _Run:
         if self.fruit and (att.pending_fruits or dropped):
             # Own fruits from the abandoned branch stay mineable while the
             # block they point at is canonical; withheld blocks die.
-            chain = self.chain
-            base = self.base
-            top = base + len(chain)
             for b in dropped:
                 if b.emb:
-                    att.pending_fruits.extend((pb, ph) for (_m, pb, ph) in b.emb)
-            att.pending_fruits = [
-                (pb, ph) for (pb, ph) in att.pending_fruits
-                if base <= ph < top and chain[ph - base].bid == pb
-            ]
+                    att.pending_fruits.extend(b.emb)
+            att.pending_fruits = [f for f in att.pending_fruits if self._canonical(f[1], f[2])]
 
     def do_override(self, att: AttackerState) -> None:
-        """Replace the public suffix above the attacker's anchor with its branch."""
-        self._publish(att, att.anchor_index, att.blocks, [att.id] * att.pending_count, [])
+        """Publish the attacker's branch: it replaces the main line above its anchor.
+
+        Ends any tie, hands the branch's pending weak headers (and, for a
+        released tie branch, the honest fruits pointing into it) to the
+        public tip, returns reorg-orphaned fruits to the public pool, and
+        floats the attacker again.
+        """
+        pend_wh = [att.id] * att.pending_count
+        pend_fruits = []
+        if self.tie is not None:
+            pend_fruits = self.tie.fruits.get(att.id, [])
+            self._end_tie()
+        anchor = att.anchor_index
+        chain = self.chain
+        cut = anchor + 1 - self.base
+        dead = chain[cut:] if self.fruit else None
+        del chain[cut:]
+        chain.extend(att.blocks)
+        self.pending_wh = pend_wh
+        self.pending_fruits = [f for f in self.pending_fruits if f[2] <= anchor] + pend_fruits
+        if dead:
+            self._reclaim_embedded(dead)
+        self.public_units = chain[-1].cum + len(pend_wh)
+        att.reset()
 
     def do_match(self, att: AttackerState) -> None:
-        """Publish the branch next to the equal-strength main line."""
-        alt = AltBranch(
-            owner=att.id,
-            anchor_index=att.anchor_index,
-            anchor_bid=att.anchor_bid,
-            blocks=att.blocks,
-            pend_wh=[att.id] * att.pending_count,
-        )
-        att.pending_count = 0
+        """Release the branch next to the equal-strength main line."""
         att.in_match = True
         if self.tie is None:
             tip = self.chain[-1]
@@ -235,30 +235,9 @@ class _Run:
                 owner = tip.miner
             else:
                 owner = HONEST_BRANCH
-            self.tie = Tie(level=self.public_units, main_owner=owner, alts=[alt])
+            self.tie = Tie(level=self.public_units, main_owner=owner, alts=[att])
         else:
-            self.tie.alts.append(alt)
-
-    def _publish(self, att: AttackerState, anchor: int, blocks: list, pend_wh: list, pend_fruits: list) -> None:
-        """A released branch wins: it replaces the main line above ``anchor``.
-
-        Ends any tie, hands the branch's pending weak headers and fruits to
-        the public tip, returns reorg-orphaned fruits to the public pool,
-        and floats the branch's owner ``att`` again.
-        """
-        if self.tie is not None:
-            self._end_tie()
-        chain = self.chain
-        cut = anchor + 1 - self.base
-        dead = chain[cut:] if self.fruit else None
-        del chain[cut:]
-        chain.extend(blocks)
-        self.pending_wh = pend_wh
-        self.pending_fruits = [f for f in self.pending_fruits if f[2] <= anchor] + pend_fruits
-        if dead:
-            self._reclaim_embedded(dead)
-        self.public_units = chain[-1].cum + len(pend_wh)
-        att.reset()
+            self.tie.alts.append(att)
 
     def _reclaim_embedded(self, dead_blocks: list) -> None:
         """Return reorg-orphaned fruits with a still-canonical pointer.
@@ -268,27 +247,25 @@ class _Run:
         go back to the public pending pool.  Fruits pointing into the
         replaced suffix die with it.
         """
-        chain = self.chain
-        base = self.base
-        top = base + len(chain)
         pend = self.pending_fruits
         for b in dead_blocks:
             if b.emb:
-                pend.extend(f for f in b.emb if base <= f[2] < top and chain[f[2] - base].bid == f[1])
+                pend.extend(f for f in b.emb if self._canonical(f[1], f[2]))
 
     # -- tie helpers ------------------------------------------------------
 
     def _end_tie(self) -> None:
-        """Close the tie and clear its released branches' match flags."""
-        for alt in self.tie.alts:
-            self.att_by_id[alt.owner].in_match = False
+        """Close the tie; its released branches are withheld again.
+
+        A branch's released weak headers stay behind with the closed tie,
+        though its ``units`` still count them.
+        """
+        for att in self.tie.alts:
+            att.in_match = False
+            att.pending_count = 0
         self.tie = None
 
-    def _promote(self, alt: AltBranch) -> None:
-        """A released tie branch wins the tie."""
-        self._publish(self.att_by_id[alt.owner], alt.anchor_index, alt.blocks, alt.pend_wh, alt.pend_fruits)
-
-    def _choose_tie_branch(self, u: float) -> Optional[AltBranch]:
+    def _choose_tie_branch(self, u: float) -> Optional[AttackerState]:
         """Honest leader's parent pick during a tie; None means the main line.
 
         One attacker branch against the honest main line follows gamma;
@@ -308,7 +285,10 @@ class _Run:
         if self.public_units > level:
             self._end_tie()
         elif self.public_units < level:
-            self._promote(self.tie.alts[0])
+            # A main-line owner's strong block drops the other miners' weak
+            # headers pending at the tip; more than ``ratio`` of them weaken
+            # the main line, and the first released branch wins.
+            self.do_override(self.tie.alts[0])
 
     # -- mining -----------------------------------------------------------
 
@@ -325,10 +305,8 @@ class _Run:
         if self.fruit:
             height = self.base + len(chain)
             if not heavy:
-                if att is None:
-                    self.pending_fruits.append((miner, tip.bid, height - 1))
-                else:
-                    att.pending_fruits.append((tip.bid, height - 1))
+                pend = self.pending_fruits if att is None else att.pending_fruits
+                pend.append((miner, tip.bid, height - 1))
                 return 0
             if att is None:
                 window = self.window
@@ -358,39 +336,39 @@ class _Run:
         Every fresh fruit is embedded, every other pending entry is either
         stale or points at an orphaned block, so the pending list empties.
         """
-        chain = self.chain
-        base = self.base
         window = self.window
         emb = []
-        for (pb, ph) in att.pending_fruits:
+        for f in att.pending_fruits:
+            ph = f[2]
             if new_height - ph > window:
                 continue
             if ph <= anchor_index:
-                on_branch = base <= ph < base + len(chain) and chain[ph - base].bid == pb
+                on_branch = self._canonical(f[1], ph)
             else:
                 j = ph - anchor_index - 1
-                on_branch = j < len(blocks) and blocks[j].bid == pb
+                on_branch = j < len(blocks) and blocks[j].bid == f[1]
             if on_branch:
-                emb.append((att.id, pb, ph))
+                emb.append(f)
         att.pending_fruits = []
         return emb
 
-    def _mine_private(self, att: AttackerState, heavy: bool) -> None:
+    def _mine_private(self, att: AttackerState, heavy: bool) -> int:
+        """Artifact on the attacker's own branch; returns its strength gain."""
         chain = self.chain
         blocks = att.blocks
         if self.fruit and not heavy:
             if blocks:
-                att.pending_fruits.append((blocks[-1].bid, att.anchor_index + len(blocks)))
+                att.pending_fruits.append((att.id, blocks[-1].bid, att.anchor_index + len(blocks)))
             else:
-                att.pending_fruits.append((chain[-1].bid, self.base + len(chain) - 1))
-            return
+                att.pending_fruits.append((att.id, chain[-1].bid, self.base + len(chain) - 1))
+            return 0
         if att.anchor_index < 0:
             att.anchor_index = self.base + len(chain) - 1
             att.anchor_bid = chain[-1].bid
         if not heavy:
             att.pending_count += 1
             att.units += 1
-            return
+            return 1
         parent_cum = blocks[-1].cum if blocks else chain[att.anchor_index - self.base].cum
         if self.fruit:
             emb = self._embed_own_fruits(att, att.anchor_index, blocks, att.anchor_index + len(blocks) + 1)
@@ -405,51 +383,40 @@ class _Run:
         blocks.append(Block(self.next_bid, att.id, cum, emb))
         self.next_bid += 1
         att.units += gain
+        return gain
 
-    def _extend_alt(self, alt: AltBranch, miner: int, heavy: bool, att: Optional[AttackerState] = None) -> int:
-        """Artifact on a released tie branch; promotes it if strength grows.
+    def _extend_alt(self, att: AttackerState, miner: int, heavy: bool) -> int:
+        """Honest artifact on ``att``'s released tie branch; returns the strength advance.
 
-        Returns the strength advance.  ``att`` is the branch's owner when it
-        mines on its own branch, which embeds only its own fruits.
+        Any header-path artifact makes the branch the strongest chain, so it
+        is published and the artifact mined on it as the main line.  On the
+        fruit path a fruit waits in ``Tie.fruits`` until a block on the
+        branch embeds it; the block wins the tie.
         """
-        blocks = alt.blocks
-        height = alt.anchor_index + len(blocks)  # of the branch tip
-        level = self.public_units  # the branch's strength while the tie is open
-        if self.fruit:
-            if not heavy:
-                if att is None:
-                    alt.pend_fruits.append((miner, blocks[-1].bid, height))
-                else:
-                    att.pending_fruits.append((blocks[-1].bid, height))
-                return 0
-            if att is None:
-                window = self.window
-                anchor = alt.anchor_index
-                emb = []
-                left = []
-                for f in self.pending_fruits:
-                    if f[2] <= anchor and height + 1 - f[2] <= window:
-                        emb.append(f)
-                    else:
-                        left.append(f)
-                self.pending_fruits = left
-                emb.extend(f for f in alt.pend_fruits if height + 1 - f[2] <= window)
-                alt.pend_fruits = []
+        if not self.fruit:
+            self.do_override(att)
+            return self._mine_main(miner, heavy)
+        blocks = att.blocks
+        height = att.anchor_index + len(blocks)  # of the branch tip
+        if not heavy:
+            self.tie.fruits.setdefault(att.id, []).append((miner, blocks[-1].bid, height))
+            return 0
+        window = self.window
+        anchor = att.anchor_index
+        emb = []
+        left = []
+        for f in self.pending_fruits:
+            if f[2] <= anchor and height + 1 - f[2] <= window:
+                emb.append(f)
             else:
-                emb = self._embed_own_fruits(att, alt.anchor_index, blocks, height + 1)
-            cum = blocks[-1].cum + self.fruit_ratio + len(emb)
-        elif heavy:
-            emb = tuple(alt.pend_wh)
-            alt.pend_wh.clear()
-            cum = blocks[-1].cum + self.ratio + len(emb)
-        else:
-            alt.pend_wh.append(miner)
-            self._promote(alt)
-            return 1
-        blocks.append(Block(self.next_bid, miner, cum, emb))
+                left.append(f)
+        self.pending_fruits = left
+        emb.extend(f for f in self.tie.fruits.pop(att.id, ()) if height + 1 - f[2] <= window)
+        gain = self.fruit_ratio + len(emb)
+        blocks.append(Block(self.next_bid, miner, blocks[-1].cum + gain, emb))
         self.next_bid += 1
-        self._promote(alt)
-        return self.public_units - level
+        self.do_override(att)
+        return gain
 
     # -- end of run -------------------------------------------------------
 
@@ -496,8 +463,6 @@ class _Run:
         for a in self.attackers:
             if not a.floating and a.anchor_index < safe:
                 safe = a.anchor_index
-        if self.tie is not None:
-            safe = min([safe] + [alt.anchor_index for alt in self.tie.alts])
         if self.fruit:
             safe -= self.window - 1
         cut = safe - self.base
@@ -540,9 +505,10 @@ class _Run:
                 if selfish[leader]:
                     att = att_by_id[leader]
                     if att.in_match:
-                        alt = next(b for b in tie.alts if b.owner == leader)
-                        advance = self._extend_alt(alt, leader, heavy, att)
-                        own = OVERRIDE if advance else None
+                        advance = self._mine_private(att, heavy)
+                        if advance:  # the first strength gain wins the tie
+                            self.do_override(att)
+                            own = OVERRIDE
                     elif tie is not None and tie.main_owner == leader:
                         advance = self._mine_main(leader, heavy, att)
                         own = OVERRIDE if advance else None

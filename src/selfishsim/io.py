@@ -345,29 +345,23 @@ def _series_splits(rows: Sequence[ResultRow]) -> dict:
     tail; attacker 1's own power is the x axis.  Returns
     {series name: {alpha: [revenues]}}.
     """
-    selfish_ids: dict = {}
+    selfish = []  # (row, series key, attacker-1 power)
+    first_id: dict = {}
     for row in rows:
         if row.miner_kind != MinerKind.SELFISH.value:
             continue
-        parts = row.alpha_per_attacker.split("|")
-        tail = tuple(parts[1:])
-        skey = (row.protocol, row.gamma, row.n_attackers, tail)
-        cur = selfish_ids.get(skey)
-        if cur is None or row.miner_id < cur:
-            selfish_ids[skey] = row.miner_id
+        alpha, *tail = row.alpha_per_attacker.split("|")
+        skey = (row.protocol, row.gamma, row.n_attackers, tuple(tail))
+        selfish.append((row, skey, alpha))
+        first_id[skey] = min(first_id.get(skey, row.miner_id), row.miner_id)
     series: dict = {}
-    for row in rows:
-        if row.miner_kind != MinerKind.SELFISH.value:
-            continue
-        parts = row.alpha_per_attacker.split("|")
-        tail = tuple(parts[1:])
-        skey = (row.protocol, row.gamma, row.n_attackers, tail)
-        if row.miner_id != selfish_ids[skey]:
+    for row, skey, alpha in selfish:
+        if row.miner_id != first_id[skey]:
             continue
         name = f"{row.protocol}_g{_fmt(row.gamma)}_k{row.n_attackers}"
-        if tail:
-            name += "_rivals_" + "-".join(tail)
-        series.setdefault(name, {}).setdefault(float(parts[0]), []).append(row.revenue)
+        if skey[3]:
+            name += "_rivals_" + "-".join(skey[3])
+        series.setdefault(name, {}).setdefault(float(alpha), []).append(row.revenue)
     return series
 
 

@@ -30,9 +30,12 @@ class AttackerState:
     branch extends; index -1 means no commitment yet (the attacker floats
     with the public tip).  ``units`` is the withheld strength in protocol
     units.  ``pending_count`` holds unembedded private weak headers,
-    ``pending_fruits`` unembedded private fruits as (pointer id, pointer
-    height) pairs.  ``reset`` empties the branch after an adopt, a release
-    or a won tie.
+    ``pending_fruits`` unembedded private fruits as (miner, pointer id,
+    pointer height), the public pool's format.  ``in_match`` marks a branch
+    released into an open tie: the attacker keeps mining it and publishes
+    it on its first strength gain, and its pending weak headers stay with it
+    until the tie ends.  ``reset`` empties the branch after an adopt, a
+    release or a won tie.
     """
 
     id: int

@@ -1,7 +1,7 @@
 """Shared helpers plus the acceptance-summary section of the report."""
 
 from selfishsim.config import ProtocolName, symmetric_attacker_config
-from selfishsim.engine import AltBranch, Tie, _Run
+from selfishsim.engine import Tie, _Run
 from selfishsim.rng import stream_uniforms
 from selfishsim.strategy import HONEST_BRANCH
 
@@ -31,12 +31,11 @@ def tie_branch_shares(gamma, n_alts, main_owner=HONEST_BRANCH, draws=20_000, see
     """
     cfg = quick_config("nakamoto", alpha=0.1, gamma=gamma, attackers=n_alts + 1)
     run = _Run(cfg, 0, collect_records=False)
-    alts = [AltBranch(owner=i, anchor_index=0, anchor_bid=0, blocks=[], pend_wh=[]) for i in range(n_alts)]
-    run.tie = Tie(level=0, main_owner=main_owner, alts=alts)
+    run.tie = Tie(level=0, main_owner=main_owner, alts=run.attackers[:n_alts])
     counts = [0] * (1 + n_alts)
     for u in stream_uniforms(seed, draws).tolist():
         alt = run._choose_tie_branch(u)
-        counts[0 if alt is None else 1 + alt.owner] += 1
+        counts[0 if alt is None else 1 + alt.id] += 1
     return [c / draws for c in counts]
 
 

@@ -1,10 +1,12 @@
 """Config validation, scenario builders, digest stability."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
 from selfishsim.config import (
+    MAX_MINERS,
     ConfigError,
     EndCondition,
     FruitchainParams,
@@ -139,6 +141,27 @@ def test_rival_builder_shape():
     cfg = rival_attacker_config(ProtocolName.NAKAMOTO, 0.1, (0.4,), master_seed=4)
     assert [m.power for m in cfg.miners] == pytest.approx([0.1, 0.4, 0.5])
     assert cfg.selfish_ids == (0, 1)
+
+
+def test_miner_count_is_capped():
+    cfg = symmetric_attacker_config(ProtocolName.NAKAMOTO, MAX_MINERS - 1, 1e-6)
+    assert len(cfg.miners) == MAX_MINERS
+    with pytest.raises(ConfigError, match="at most"):
+        symmetric_attacker_config(ProtocolName.NAKAMOTO, MAX_MINERS, 1e-6)
+    honest = tuple(MinerSpec(i, 1.0 / (MAX_MINERS + 1), MinerKind.HONEST) for i in range(MAX_MINERS + 1))
+    with pytest.raises(ConfigError, match="at most"):
+        SimulationConfig(protocol=ProtocolName.NAKAMOTO, miners=honest)
+
+
+def test_huge_attacker_count_is_refused_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="at most"):
+            symmetric_attacker_config(ProtocolName.NAKAMOTO, 10**8, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_symmetric_builder_rejects_overfull_network():

@@ -1,6 +1,7 @@
 """Engine behavior: leader election, determinism, conservation, anchors."""
 
 import dataclasses
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -16,10 +17,10 @@ from selfishsim.config import (
     MinerSpec,
     ProtocolName,
     SimulationConfig,
+    rival_attacker_config,
 )
-from selfishsim.engine import AltBranch, Block, Tie, _Run, run_simulation
+from selfishsim.engine import Block, _Run, run_simulation
 from selfishsim.rng import stream_uniforms
-from selfishsim.strategy import HONEST_BRANCH
 
 THREE_MINERS = (
     MinerSpec(0, 0.2, MinerKind.HONEST),
@@ -165,6 +166,80 @@ def test_regression_anchor(protocol, gamma, seed, attackers, expected):
     cfg = quick_config(protocol, alpha=alpha, gamma=gamma, rounds=100_000, seed=seed, attackers=attackers)
     res = run_simulation(cfg)
     assert res.revenues[0] == expected
+
+
+# SHA-256 of every round record of the three-attacker anchors above and of
+# a fruitchain attacker against a 30% rival, all 100k rounds at seed 28.
+RECORD_PINS = {
+    "nakamoto": "5d5e0a7cec01b9ee755dbc6567c92721560878e0b9b1c8609e4ea9de456632a3",
+    "strongchain": "8e1bf2ab988e523d0ec7e97744440bdfa10a9283fbf568d5302c58f3f05bd881",
+    "fruitchain": "9a68c029e59e8fa9aeba5e465c9a07a8568503b4e802f90fd8633ff6f21f2a3b",
+    "fruitchain-rival": "58d9b5c885fa930afdf3fd7ee6128599984823398e90c82184362afe54258752",
+}
+
+
+def _record_digest(records):
+    h = hashlib.sha256()
+    for r in records:
+        h.update(repr((r.index, r.leader, r.kind, tuple((i, a.value) for i, a in r.actions))).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_runs():
+    """Record digest and tie paths taken of each pinned run, by name."""
+    paths = set()
+    extend_alt, mine_private = _Run._extend_alt, _Run._mine_private
+    mine_main, do_match = _Run._mine_main, _Run.do_match
+
+    def honest_on_branch(self, att, miner, heavy):
+        paths.add(("honest", heavy))
+        return extend_alt(self, att, miner, heavy)
+
+    def private(self, att, heavy):
+        if att.in_match:
+            paths.add(("owner", heavy))
+        return mine_private(self, att, heavy)
+
+    def main(self, miner, heavy, att=None):
+        if att is not None:
+            paths.add("main owner")
+        return mine_main(self, miner, heavy, att)
+
+    def match(self, att):
+        if self.tie is not None:
+            paths.add("match into tie")
+        do_match(self, att)
+
+    configs = {p: quick_config(p, alpha=0.15, gamma=0.5, rounds=100_000, seed=28, attackers=3)
+               for p in ("nakamoto", "strongchain", "fruitchain")}
+    configs["fruitchain-rival"] = rival_attacker_config(
+        ProtocolName.FRUITCHAIN, 0.2, (0.3,), gamma=0.5, rounds=100_000, master_seed=28
+    )
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, wrapper in [("_extend_alt", honest_on_branch), ("_mine_private", private),
+                              ("_mine_main", main), ("do_match", match)]:
+            mp.setattr(_Run, name, wrapper)
+        for name, cfg in configs.items():
+            paths.clear()
+            records = run_simulation(cfg, collect_records=True).records
+            out[name] = (_record_digest(records), set(paths))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_PINS))
+def test_round_records_are_pinned(pinned_runs, name):
+    assert pinned_runs[name][0] == RECORD_PINS[name]
+
+
+def test_pinned_runs_reach_every_tie_path(pinned_runs):
+    every = {("honest", False), ("honest", True), ("owner", False), ("owner", True),
+             "main owner", "match into tie"}
+    header = pinned_runs["nakamoto"][1] | pinned_runs["strongchain"][1]
+    fruit = pinned_runs["fruitchain"][1] | pinned_runs["fruitchain-rival"][1]
+    assert header == every
+    assert fruit == every
 
 
 def test_multi_attacker_run_completes_under_pressure():
@@ -332,16 +407,15 @@ def test_fold_stops_at_the_lowest_live_anchor(protocol):
     run.chain = [Block(0, -1, 0)] + [Block(h, 3, h) for h in range(1, 61)]
     run.public_units = 60
     run.attackers[1].anchor_index, run.attackers[1].anchor_bid = 40, 40
-    # An open tie branch whose owner floats still pins its anchor.
-    alt = AltBranch(owner=2, anchor_index=30, anchor_bid=30, blocks=[Block(99, 2, 31)], pend_wh=[])
-    run.tie = Tie(level=60, main_owner=HONEST_BRANCH, alts=[alt])
+    run.attackers[2].anchor_index, run.attackers[2].anchor_bid = 30, 30
     run._fold()
     window = run.window if protocol == "fruitchain" else 1
     assert run.base == 30 - (window - 1)
     assert run.chain[0].bid == run.base
     assert run.folded == [0.0, 0.0, 0.0, float(run.base)]
     assert run.anchor_alive(run.attackers[1])
-    run.tie = None
+    assert run.anchor_alive(run.attackers[2])
+    run.attackers[2].reset()
     run._fold()
     assert run.base == 40 - (window - 1)
     assert run._result(0, 0).rewards == [0.0, 0.0, 0.0, 60.0]

@@ -150,6 +150,7 @@ def test_parse_simulation_errors(tmp_path, mutate, needle):
         (lambda d: d.update(end_condition={"round_budget": 5}), "simulate configs"),
         (lambda d: d.update(repeats=0), "repeats"),
         (lambda d: d["sweep"].update(alpha_grid=[0.3, 0.2]), "ascending"),
+        (lambda d: d["sweep"].update(alpha_grid=[1e-6], attackers=100_000), "at most 1000 miners"),
     ],
 )
 def test_parse_sweep_errors(tmp_path, mutate, needle):
