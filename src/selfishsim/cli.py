@@ -90,10 +90,11 @@ def _cmd_simulate(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
-def _point_task(cfg: SweepConfig) -> tuple:
+def _sweep_task(cfg: SweepConfig) -> tuple:
+    """A sweep's revenue points and the result rows of its runs."""
     rows: list = []
-    (point,) = run_sweep(cfg, on_result=lambda r: rows.extend(rows_from_result(r)))
-    return point, rows
+    points = run_sweep(cfg, on_result=lambda r: rows.extend(rows_from_result(r)))
+    return points, rows
 
 
 def _cmd_sweep(args) -> int:
@@ -109,9 +110,9 @@ def _cmd_sweep(args) -> int:
         # Grid points draw their runs from per-point seed streams, so they
         # can run anywhere in any order; assembly follows grid order.
         tasks = [replace(c, alpha_grid=(alpha,)) for alpha in c.alpha_grid]
-        done = _map(_point_task, tasks, args.jobs)
+        done = _map(_sweep_task, tasks, args.jobs)
         rows.extend(row for _, task_rows in done for row in task_rows)
-        return [point for point, _ in done]
+        return [point for points, _ in done for point in points]
 
     points, est = threshold_search(cfg, sweep)
 
@@ -143,8 +144,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cell_task(cell) -> tuple:
-    rows: list = []
-    points = run_sweep(cell.sweep, on_result=lambda r: rows.extend(rows_from_result(r)))
+    points, rows = _sweep_task(cell.sweep)
     return estimate_threshold(points), rows
 
 

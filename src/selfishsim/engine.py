@@ -17,7 +17,10 @@ replaces the suffix above the releaser's fork anchor.  During a tie the
 matched attackers' own branches, released at the main line's strength, race
 it until one side gains strictly greater strength: a matched attacker keeps
 mining its branch and publishes it on its first gain, and an honest leader
-that picks a released branch extends it.
+that picks a released branch extends it.  At the end of a run the attackers
+react once more through the same cascade, with no bound on the override
+lead, so every branch strictly stronger than the public chain from a live
+anchor is published.
 
 Heights are absolute; the run holds only the live suffix of the canonical
 chain, ``chain[h - base]`` being the block at height ``h``.  At each chunk
@@ -191,13 +194,8 @@ class _Run:
     def do_adopt(self, att: AttackerState) -> None:
         dropped = att.blocks
         att.reset()
-        if self.fruit and (att.pending_fruits or dropped):
-            # Own fruits from the abandoned branch stay mineable while the
-            # block they point at is canonical; withheld blocks die.
-            for b in dropped:
-                if b.emb:
-                    att.pending_fruits.extend(b.emb)
-            att.pending_fruits = [f for f in att.pending_fruits if self._canonical(f[1], f[2])]
+        if self.fruit:
+            self._reclaim_embedded(att.pending_fruits, dropped)
 
     def do_override(self, att: AttackerState) -> None:
         """Publish the attacker's branch: it replaces the main line above its anchor.
@@ -221,7 +219,7 @@ class _Run:
         self.pending_wh = pend_wh
         self.pending_fruits = [f for f in self.pending_fruits if f[2] <= anchor] + pend_fruits
         if dead:
-            self._reclaim_embedded(dead)
+            self._reclaim_embedded(self.pending_fruits, dead)
         self.public_units = chain[-1].cum + len(pend_wh)
         att.reset()
 
@@ -239,18 +237,19 @@ class _Run:
         else:
             self.tie.alts.append(att)
 
-    def _reclaim_embedded(self, dead_blocks: list) -> None:
-        """Return reorg-orphaned fruits with a still-canonical pointer.
+    def _reclaim_embedded(self, pool: list, dead_blocks: list) -> None:
+        """Return the fruits of dropped blocks that point at canonical blocks to ``pool``.
 
-        A replaced block dies but the fruits it embedded were published and
-        stay mineable as long as the block they point at is canonical; they
-        go back to the public pending pool.  Fruits pointing into the
-        replaced suffix die with it.
+        A replaced public block or an abandoned withheld one dies, but the
+        fruits it embedded stay mineable as long as the block they point at
+        is canonical: a reorg returns them to the public pool, an adopt to
+        the attacker's own.  Fruits pointing into the dropped blocks die
+        with them.
         """
-        pend = self.pending_fruits
+        canonical = self._canonical
         for b in dead_blocks:
             if b.emb:
-                pend.extend(f for f in b.emb if self._canonical(f[1], f[2]))
+                pool.extend(f for f in b.emb if canonical(f[1], f[2]))
 
     # -- tie helpers ------------------------------------------------------
 
@@ -303,17 +302,13 @@ class _Run:
         chain = self.chain
         tip = chain[-1]
         if self.fruit:
-            height = self.base + len(chain)
+            holder = self if att is None else att  # whose fruit pool the block draws on
             if not heavy:
-                pend = self.pending_fruits if att is None else att.pending_fruits
-                pend.append((miner, tip.bid, height - 1))
+                holder.pending_fruits.append((miner, tip.bid, self.base + len(chain) - 1))
                 return 0
-            if att is None:
-                window = self.window
-                emb = [f for f in self.pending_fruits if height - f[2] <= window]
-                self.pending_fruits = []
-            else:
-                emb = self._embed_own_fruits(att, height - 1, [], height)
+            # The branch is the live chain above the folded blocks.
+            emb = self._embeddable(holder.pending_fruits, self.base - 1, chain)[0]
+            holder.pending_fruits = []
             cum = tip.cum + self.fruit_ratio + len(emb)
         elif heavy:
             pend = self.pending_wh
@@ -330,27 +325,30 @@ class _Run:
         self.public_units = cum
         return advance
 
-    def _embed_own_fruits(self, att: AttackerState, anchor_index: int, blocks: list, new_height: int) -> list:
-        """Fresh private fruits pointing into the branch being extended.
+    def _embeddable(self, pool: list, anchor: int, blocks: list) -> tuple:
+        """Split ``pool`` into the fruits the next block of a branch embeds and the rest.
 
-        Every fresh fruit is embedded, every other pending entry is either
-        stale or points at an orphaned block, so the pending list empties.
+        The branch is the canonical chain up to height ``anchor``, then
+        ``blocks``.  A fruit is embedded when it is fresh at the new block's
+        height and points at a block of the branch.  Returns (embedded,
+        left), both in pool order; a block that empties its pool drops
+        ``left``, whose entries are stale or point at orphaned blocks.
         """
+        height = anchor + len(blocks) + 1  # of the new block
         window = self.window
+        canonical = self._canonical
         emb = []
-        for f in att.pending_fruits:
+        left = []
+        for f in pool:
             ph = f[2]
-            if new_height - ph > window:
-                continue
-            if ph <= anchor_index:
-                on_branch = self._canonical(f[1], ph)
-            else:
-                j = ph - anchor_index - 1
-                on_branch = j < len(blocks) and blocks[j].bid == f[1]
-            if on_branch:
+            if height - ph <= window and (
+                canonical(f[1], ph) if ph <= anchor
+                else ph < height and blocks[ph - anchor - 1].bid == f[1]
+            ):
                 emb.append(f)
-        att.pending_fruits = []
-        return emb
+            else:
+                left.append(f)
+        return emb, left
 
     def _mine_private(self, att: AttackerState, heavy: bool) -> int:
         """Artifact on the attacker's own branch; returns its strength gain."""
@@ -369,9 +367,11 @@ class _Run:
             att.pending_count += 1
             att.units += 1
             return 1
-        parent_cum = blocks[-1].cum if blocks else chain[att.anchor_index - self.base].cum
+        anchor = att.anchor_index
+        parent_cum = blocks[-1].cum if blocks else chain[anchor - self.base].cum
         if self.fruit:
-            emb = self._embed_own_fruits(att, att.anchor_index, blocks, att.anchor_index + len(blocks) + 1)
+            emb = self._embeddable(att.pending_fruits, anchor, blocks)[0]
+            att.pending_fruits = []
             gain = self.fruit_ratio + len(emb)
             cum = parent_cum + gain
         else:
@@ -396,22 +396,14 @@ class _Run:
         if not self.fruit:
             self.do_override(att)
             return self._mine_main(miner, heavy)
-        blocks = att.blocks
-        height = att.anchor_index + len(blocks)  # of the branch tip
+        anchor, blocks = att.anchor_index, att.blocks
         if not heavy:
-            self.tie.fruits.setdefault(att.id, []).append((miner, blocks[-1].bid, height))
+            self.tie.fruits.setdefault(att.id, []).append((miner, blocks[-1].bid, anchor + len(blocks)))
             return 0
-        window = self.window
-        anchor = att.anchor_index
-        emb = []
-        left = []
-        for f in self.pending_fruits:
-            if f[2] <= anchor and height + 1 - f[2] <= window:
-                emb.append(f)
-            else:
-                left.append(f)
-        self.pending_fruits = left
-        emb.extend(f for f in self.tie.fruits.pop(att.id, ()) if height + 1 - f[2] <= window)
+        # The public fruits left behind stay public; the release below drops
+        # those that point into the replaced main-line suffix.
+        emb, self.pending_fruits = self._embeddable(self.pending_fruits, anchor, blocks)
+        emb += self._embeddable(self.tie.fruits.pop(att.id, ()), anchor, blocks)[0]
         gain = self.fruit_ratio + len(emb)
         blocks.append(Block(self.next_bid, miner, blocks[-1].cum + gain, emb))
         self.next_bid += 1
@@ -421,21 +413,16 @@ class _Run:
     # -- end of run -------------------------------------------------------
 
     def _settle_final(self) -> None:
-        """Strictly stronger withheld branches are published at the end.
+        """The attackers react once more, with no bound on the override lead.
 
-        Weakest releases first so a stronger rival can still override the
-        result; exact ties stand with the public chain.
+        Every branch strictly stronger than the public chain from its live
+        anchor is published, weakest first, so a stronger rival can still
+        override the result; exact ties stand with the public chain.  An
+        attacker whose anchor a release orphans adopts, as it does mid-run,
+        however strong its branch.
         """
-        while True:
-            cands = [
-                a
-                for a in self.attackers
-                if not a.floating and self.anchor_alive(a) and a.units > self.public_units_from(a)
-            ]
-            if not cands:
-                return
-            cands.sort(key=lambda a: (a.units, a.id))
-            self.do_override(cands[0])
+        self.quantum_units = float("inf")
+        cascade_release(self.attackers, self)
 
     def _max_height(self) -> int:
         h = self.base + len(self.chain) - 1
@@ -568,8 +555,9 @@ def run_simulation(
 
     ``run_index`` picks the run's independent stream under the config's
     master seed.  At the end of the round budget (or once a chain reaches
-    the target height) any withheld branch that is strictly stronger than
-    the public chain is published before rewards are tallied; exact-strength
-    ties stand with the public chain.
+    the target height) the attackers react once more with no bound on the
+    override lead: every withheld branch that is strictly stronger than the
+    public chain from its live anchor is published, weakest first, before
+    rewards are tallied; exact-strength ties stand with the public chain.
     """
     return _Run(config, run_index, collect_records).run()

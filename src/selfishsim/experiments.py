@@ -109,13 +109,11 @@ class RevenuePoint:
 
     alpha: float
     run_revenues: Tuple[float, ...]
-    mean_revenue: float
     attacker_gap: float = 0.0  # max pairwise gap between attacker means
 
-    def __post_init__(self) -> None:
-        mean = sum(self.run_revenues) / len(self.run_revenues)
-        if abs(mean - self.mean_revenue) > 1e-12:
-            raise ValueError("mean_revenue must equal the mean of run_revenues")
+    @property
+    def mean_revenue(self) -> float:
+        return sum(self.run_revenues) / len(self.run_revenues)
 
 
 @dataclass(frozen=True)
@@ -152,15 +150,7 @@ def run_sweep(cfg: SweepConfig, on_result=None) -> list:
                 sums[j] += result.revenues[mid]
         means = [s / cfg.repeats for s in sums]
         gap = max(means) - min(means) if len(means) > 1 else 0.0
-        mean = sum(per_run) / cfg.repeats
-        points.append(
-            RevenuePoint(
-                alpha=alpha,
-                run_revenues=tuple(per_run),
-                mean_revenue=mean,
-                attacker_gap=gap,
-            )
-        )
+        points.append(RevenuePoint(alpha=alpha, run_revenues=tuple(per_run), attacker_gap=gap))
     return points
 
 
@@ -177,17 +167,19 @@ def _interp_crossing(alpha_lo, mean_lo, alpha_hi, mean_hi):
     return np.where(d_lo >= 0.0, alpha_lo, np.where(d_hi < 0.0, alpha_hi, inside))
 
 
-def estimate_threshold(
-    points: Sequence[RevenuePoint],
-    resamples: int = 10_000,
-    seed: int = 0,
-) -> ThresholdEstimate:
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
+
+
+def estimate_threshold(points: Sequence[RevenuePoint]) -> ThresholdEstimate:
     """Smallest grid power whose mean revenue reaches the fair share.
 
     An interior crossing is interpolated linearly between the bracketing
     grid points; a grid that starts at or above the fair share reports
     its first point.  The confidence interval is a percentile bootstrap
-    of the crossing, resampling run-level revenues at the bracket.
+    of the crossing, resampling run-level revenues at the bracket
+    ``BOOTSTRAP_RESAMPLES`` times from a generator seeded with
+    ``BOOTSTRAP_SEED``.
     """
     if len(points) < 2:
         raise ValueError("need at least 2 grid points")
@@ -209,12 +201,12 @@ def estimate_threshold(
 
     threshold = float(_interp_crossing(lo.alpha, lo.mean_revenue, hi.alpha, hi.mean_revenue))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
     lo_runs = np.asarray(lo.run_revenues)
     hi_runs = np.asarray(hi.run_revenues)
     n = lo_runs.shape[0]
-    lo_means = lo_runs[rng.integers(0, n, size=(resamples, n))].mean(axis=1)
-    hi_means = hi_runs[rng.integers(0, n, size=(resamples, n))].mean(axis=1)
+    lo_means = lo_runs[rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))].mean(axis=1)
+    hi_means = hi_runs[rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))].mean(axis=1)
     crossings = _interp_crossing(lo.alpha, lo_means, hi.alpha, hi_means)
     ci_lo, ci_hi = np.percentile(crossings, (2.5, 97.5))
     eps = 1e-9  # percentile interpolation dust must not fail an exact hit

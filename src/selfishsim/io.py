@@ -25,7 +25,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 from .config import (
     ConfigError,
@@ -371,7 +371,6 @@ def write_results(
     out_dir,
     master_seed: int = 0,
     digest: str = "",
-    tool_version: Optional[str] = None,
 ) -> RunManifest:
     """Write results.csv, thresholds.json, plotdata/ and manifest.json.
 
@@ -426,10 +425,8 @@ def write_results(
                         )
                 outputs.append(f"plotdata/{name}.csv")
 
-        if tool_version is None:
-            tool_version = __version__
         manifest = RunManifest(
-            tool_version=tool_version,
+            tool_version=__version__,
             config_digest=digest,
             master_seed=master_seed,
             timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),

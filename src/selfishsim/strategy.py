@@ -96,9 +96,13 @@ def cascade_release(attackers, chain) -> list:
     ties) so that a weaker release happens first and a stronger rival can
     override it, as in chained-override races.  Adopts only mutate attacker
     state; an override or match changes the public chain and restarts the
-    scan.  ``chain`` supplies the protocol view: anchor liveness, strength
-    deltas, and the three state mutations.  Returns the executed actions as
-    (attacker id, Action) pairs.
+    scan.  An attacker whose anchor a release orphaned adopts, however
+    strong its branch.  ``chain`` supplies the protocol view: anchor
+    liveness, strength deltas, the override quantum and the three state
+    mutations.  The engine settles a run with one more call whose quantum
+    is unbounded, so every branch ahead of the public chain from a live
+    anchor is published.  Returns the executed actions as (attacker id,
+    Action) pairs.
 
     The loop is bounded: every public change consumes withheld strength or
     a one-shot match, so more than ``2 * len(attackers) + 2`` restarts mark

@@ -21,7 +21,7 @@ from .config import (
     ProtocolName,
     SimulationConfig,
 )
-from .experiments import SweepConfig, ThresholdEstimate, estimate_threshold, run_sweep
+from .experiments import SweepConfig, ThresholdEstimate
 
 MASTER_SEED = 28
 
@@ -99,11 +99,6 @@ def table_cells(master_seed: int = MASTER_SEED) -> list:
 # rate by more than one point; these two cells carry the comparison.
 FRUIT_GAMMA_PAIR = ("fruitchain-k1-g0.0", "fruitchain-k1-g1.0")
 FRUIT_GAMMA_GAP_MAX = 0.01
-
-
-def evaluate_cell(cell: ThresholdCell) -> ThresholdEstimate:
-    """Run one cell's sweep and estimate its threshold."""
-    return estimate_threshold(run_sweep(cell.sweep))
 
 
 def cell_passes(cell: ThresholdCell, est: ThresholdEstimate) -> bool:

@@ -26,7 +26,6 @@ from selfishsim.suite import (
     ORACLE_TOLERANCE,
     RIVAL_LEVELS,
     cell_passes,
-    evaluate_cell,
     fairness_configs,
     rival_suppression_sweep,
     rival_threshold_sweep,
@@ -39,7 +38,7 @@ pytestmark = pytest.mark.acceptance
 @pytest.fixture(scope="module")
 def table():
     """Threshold estimates for every table cell, computed once."""
-    return {cell.name: (cell, evaluate_cell(cell)) for cell in table_cells()}
+    return {cell.name: (cell, estimate_threshold(run_sweep(cell.sweep))) for cell in table_cells()}
 
 
 def _pct(x):

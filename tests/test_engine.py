@@ -421,6 +421,56 @@ def test_fold_stops_at_the_lowest_live_anchor(protocol):
     assert run._result(0, 0).rewards == [0.0, 0.0, 0.0, 60.0]
 
 
+def _settling_run():
+    """A nakamoto run ending with four withheld branches over five honest blocks.
+
+    Attacker (anchor height, branch blocks), public strength from the anchor:
+    - 0: (1, 6), public 4: ahead, the strongest branch;
+    - 1: (3, 3), public 2: ahead, the weakest branch;
+    - 2: (4, 5), public 1: ahead, but attacker 1's release orphans its anchor;
+    - 3: (0, 7), public 5: ahead now, level once attacker 0 has published.
+    Branch blocks of attacker ``a`` have bids ``10 * (a + 1) + j``.
+    """
+    run = _Run(quick_config("nakamoto", alpha=0.1, attackers=4), 0, collect_records=False)
+    run.chain = [Block(0, -1, 0)] + [Block(h, 4, h) for h in range(1, 6)]
+    run.public_units = 5
+    for att, (anchor, n) in zip(run.attackers, [(1, 6), (3, 3), (4, 5), (0, 7)]):
+        att.anchor_index, att.anchor_bid = anchor, anchor
+        att.blocks = [Block(10 * (att.id + 1) + j, att.id, anchor + 1 + j, ()) for j in range(n)]
+        att.units = n
+    published = []
+
+    def recording_override(att):
+        published.append(att.id)
+        _Run.do_override(run, att)
+
+    run.do_override = recording_override
+    run._settle_final()
+    return run, published
+
+
+def test_settlement_publishes_the_weaker_branch_first():
+    # The stronger branch then overrides it from a lower anchor.
+    run, published = _settling_run()
+    assert published == [1, 0]
+    assert [b.bid for b in run.chain] == [0, 1] + list(range(10, 16))
+    assert run.public_units == 7
+    assert run._result(0, 0).rewards == [6.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def test_settlement_keeps_a_level_branch_and_drops_an_orphaned_anchor():
+    # Attacker 3 ends level and holding blocks, so its branch stays
+    # withheld.  Attacker 2's branch is strictly stronger than the public
+    # chain when settlement starts, yet it is dropped because attacker 1's
+    # release orphans its anchor: the `FOUND:` line in CHANGES.md on
+    # `engine._Run._settle_final` and direction 3 of ROADMAP.md name this
+    # as the dead-anchor defect to fix.
+    run, published = _settling_run()
+    assert 2 not in published and 3 not in published
+    assert {b.bid for b in run.chain}.isdisjoint(range(30, 47))
+    assert run.attackers[3].units == run.public_units_from(run.attackers[3])
+
+
 @pytest.mark.parametrize("protocol", ["nakamoto", "strongchain", "fruitchain"])
 def test_folding_bounds_the_live_chain(monkeypatch, protocol):
     monkeypatch.setattr(engine, "CHUNK", SMALL_CHUNK)

@@ -17,14 +17,8 @@ from selfishsim.experiments import (
 )
 
 
-def _pt(alpha, mean, spread=0.0):
-    revs = (mean - spread, mean + spread, mean)
-    return RevenuePoint(alpha=alpha, run_revenues=revs, mean_revenue=mean)
-
-
-def test_revenue_point_checks_its_mean():
-    with pytest.raises(ValueError):
-        RevenuePoint(alpha=0.2, run_revenues=(0.1, 0.3), mean_revenue=0.5)
+def _pt(alpha, mean):
+    return RevenuePoint(alpha=alpha, run_revenues=(mean,) * 3)
 
 
 def test_interior_crossing_interpolates():
