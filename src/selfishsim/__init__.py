@@ -11,7 +11,6 @@ from .config import (
     StrongchainParams,
     balanced_fruit_params,
     config_digest,
-    fruit_heavy_params,
     rival_attacker_config,
     symmetric_attacker_config,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "decide_action",
     "derive_run_seed",
     "estimate_threshold",
-    "fruit_heavy_params",
     "parse_config",
     "read_results",
     "read_thresholds",

@@ -8,6 +8,7 @@ Failures print one JSON object to stderr; exit status is 0 on success,
 2 for config problems, 1 otherwise.
 
 Outputs land under ``--out`` as results.csv, thresholds.json, plotdata/
+(one revenue curve per threshold estimate, so ``simulate`` writes none)
 and manifest.json.  ``--jobs`` fans independent sweep tasks out over
 worker processes, at most one per task and per CPU; outputs do not
 depend on the worker count.
@@ -114,10 +115,10 @@ def _cmd_sweep(args) -> int:
         rows.extend(row for _, task_rows in done for row in task_rows)
         return [point for points, _ in done for point in points]
 
-    points, est = threshold_search(cfg, sweep)
+    est = threshold_search(cfg, sweep)
 
     print("alpha    mean_revenue  attacker_gap")
-    for p in points:
+    for p in est.points:
         print(f"{p.alpha:<8.4f} {_fmt(p.mean_revenue)}       {_fmt(p.attacker_gap)}")
     if est.threshold is None:
         print("threshold: none (no grid point reaches fair share)")

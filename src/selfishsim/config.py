@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -127,16 +127,26 @@ def balanced_fruit_params(fruit_ratio: int = 10, freshness_window: int = 10) -> 
     return FruitchainParams(fruit_ratio, freshness_window, 1.0, 1.0 / fruit_ratio)
 
 
-def fruit_heavy_params(fruit_ratio: int = 10, freshness_window: int = 10) -> FruitchainParams:
-    """Preset where fruits dominate: the block gets 1/(fruit_ratio+1) of an interval."""
-    return FruitchainParams(fruit_ratio, freshness_window, 1.0, 1.0)
+# The parameter class of each protocol that takes parameters; its field
+# defaults are the protocol's defaults.
+PROTOCOL_PARAMS = {
+    ProtocolName.STRONGCHAIN: StrongchainParams,
+    ProtocolName.FRUITCHAIN: FruitchainParams,
+}
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One run's miners, protocol and end condition.
+
+    A ``gamma`` of None takes ``default_gamma`` for the protocol and the
+    number of selfish miners; ``protocol_params`` of None takes the
+    protocol's ``PROTOCOL_PARAMS`` class defaults.
+    """
+
     protocol: ProtocolName
     miners: tuple[MinerSpec, ...]
-    gamma: float = 0.5
+    gamma: Optional[float] = None
     master_seed: int = 0
     end_condition: EndCondition = field(default_factory=lambda: EndCondition(round_budget=100_000))
     protocol_params: object = None
@@ -155,24 +165,26 @@ class SimulationConfig:
         total = sum(m.power for m in miners)
         if abs(total - 1.0) > POWER_SUM_TOL:
             raise ConfigError(f"miner powers must sum to 1, got {total!r}")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ConfigError(f"gamma {self.gamma} outside [0, 1]")
-        if self.master_seed < 0:
-            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
         proto = ProtocolName(self.protocol)
         object.__setattr__(self, "protocol", proto)
-        params = self.protocol_params
-        if proto is ProtocolName.STRONGCHAIN:
-            params = params if params is not None else StrongchainParams()
-            if not isinstance(params, StrongchainParams):
-                raise ConfigError("strongchain runs need StrongchainParams")
-        elif proto is ProtocolName.FRUITCHAIN:
-            params = params if params is not None else balanced_fruit_params()
-            if not isinstance(params, FruitchainParams):
-                raise ConfigError("fruitchain runs need FruitchainParams")
+        if self.gamma is None:
+            gamma = default_gamma(proto, len(self.selfish_ids))
         else:
+            gamma = float(self.gamma)
+        if not (0.0 <= gamma <= 1.0):
+            raise ConfigError(f"gamma {gamma} outside [0, 1]")
+        object.__setattr__(self, "gamma", gamma)
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
+        cls = PROTOCOL_PARAMS.get(proto)
+        params = self.protocol_params
+        if cls is None:
             if params is not None:
-                raise ConfigError("nakamoto runs take no protocol parameters")
+                raise ConfigError(f"{proto.value} runs take no protocol parameters")
+        elif params is None:
+            params = cls()
+        elif not isinstance(params, cls):
+            raise ConfigError(f"{proto.value} runs need {cls.__name__}")
         object.__setattr__(self, "protocol_params", params)
         if self.end_condition.target_height is not None and proto is not ProtocolName.FRUITCHAIN:
             raise ConfigError("target_height end condition is only supported for fruitchain")
@@ -201,15 +213,12 @@ def _canonical_payload(config: SimulationConfig) -> dict:
         "end": [config.end_condition.round_budget, config.end_condition.target_height],
     }
     params = config.protocol_params
-    if isinstance(params, StrongchainParams):
-        payload["params"] = {"ratio": params.ratio}
-    elif isinstance(params, FruitchainParams):
-        payload["params"] = {
-            "fruit_ratio": params.fruit_ratio,
-            "freshness_window": params.freshness_window,
-            "block_reward": repr(float(params.block_reward)),
-            "fruit_reward": repr(float(params.fruit_reward)),
-        }
+    if params is not None:
+        # int fields as they are, float fields in shortest round-trip form
+        payload["params"] = entry = {}
+        for f in fields(params):
+            v = getattr(params, f.name)
+            entry[f.name] = repr(float(v)) if f.type == "float" else v
     return payload
 
 
@@ -237,7 +246,7 @@ def _attacker_config(protocol, powers, honest, gamma, rounds, master_seed, proto
     return SimulationConfig(
         protocol=protocol,
         miners=tuple(miners),
-        gamma=default_gamma(protocol, len(powers)) if gamma is None else gamma,
+        gamma=gamma,
         master_seed=master_seed,
         end_condition=EndCondition(round_budget=rounds),
         protocol_params=protocol_params,

@@ -173,9 +173,7 @@ class _Run:
         self.pending_wh = []      # miner ids of unembedded weak headers at the tip
         self.pending_fruits = []  # (miner, pointer bid, pointer height), published
         self.tie: Optional[Tie] = None
-        self.attackers = [
-            AttackerState(m.id, m.power) for m in config.miners if m.kind is MinerKind.SELFISH
-        ]
+        self.attackers = [AttackerState(i) for i in config.selfish_ids]
         self.att_by_id = {a.id: a for a in self.attackers}
 
     # -- chain view used by strategy.cascade_release ---------------------

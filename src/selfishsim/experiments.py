@@ -35,14 +35,15 @@ class SweepConfig:
 
     Exactly one of ``symmetric_attackers`` (every attacker gets the grid
     power) or ``fixed_rivals`` (attacker 1 walks the grid against fixed
-    rival powers) must be set.
+    rival powers) must be set.  A ``gamma`` of None resolves to the grid
+    points' default; ``protocol_params`` pass to every grid point as given.
     """
 
     protocol: ProtocolName
     alpha_grid: Tuple[float, ...]
     symmetric_attackers: Optional[int] = None
     fixed_rivals: Optional[Tuple[float, ...]] = None
-    gamma: float = 0.5
+    gamma: Optional[float] = None
     repeats: int = 5
     rounds: int = 100_000
     master_seed: int = 0
@@ -71,8 +72,8 @@ class SweepConfig:
             raise ConfigError("repeats must be >= 1")
         # The largest grid power leaves the least honest power, so its
         # config meets every power, gamma, params and rounds rule that
-        # any grid point must.
-        self.point_config(grid[-1])
+        # any grid point must; it also resolves the gamma they all share.
+        object.__setattr__(self, "gamma", self.point_config(grid[-1]).gamma)
 
     def key(self) -> tuple:
         """Series key for thresholds.json: protocol, gamma, attacker count, rivals."""
@@ -82,25 +83,15 @@ class SweepConfig:
 
     def point_config(self, alpha: float) -> SimulationConfig:
         """The simulation config for one grid power."""
-        if self.symmetric_attackers is not None:
-            return symmetric_attacker_config(
-                self.protocol,
-                self.symmetric_attackers,
-                alpha,
-                gamma=self.gamma,
-                rounds=self.rounds,
-                master_seed=self.master_seed,
-                protocol_params=self.protocol_params,
-            )
-        return rival_attacker_config(
-            self.protocol,
-            alpha,
-            self.fixed_rivals,
+        knobs = dict(
             gamma=self.gamma,
             rounds=self.rounds,
             master_seed=self.master_seed,
             protocol_params=self.protocol_params,
         )
+        if self.symmetric_attackers is not None:
+            return symmetric_attacker_config(self.protocol, self.symmetric_attackers, alpha, **knobs)
+        return rival_attacker_config(self.protocol, alpha, self.fixed_rivals, **knobs)
 
 
 @dataclass(frozen=True)
@@ -118,12 +109,17 @@ class RevenuePoint:
 
 @dataclass(frozen=True)
 class ThresholdEstimate:
-    """First fair-share crossing of a revenue curve, or None if absent."""
+    """First fair-share crossing of a revenue curve, or None if absent.
+
+    ``points`` is the curve the estimate was computed from, in ascending
+    power order.
+    """
 
     threshold: Optional[float]
     bracket: Optional[Tuple[float, float]] = None
     ci95: Optional[Tuple[float, float]] = None
     crossing_confirmed: bool = False
+    points: Tuple[RevenuePoint, ...] = ()
 
 
 def run_sweep(cfg: SweepConfig, on_result=None) -> list:
@@ -197,7 +193,7 @@ def estimate_threshold(points: Sequence[RevenuePoint]) -> ThresholdEstimate:
                 lo, hi = a, b
                 break
         if lo is None:
-            return ThresholdEstimate(threshold=None)
+            return ThresholdEstimate(threshold=None, points=tuple(points))
 
     threshold = float(_interp_crossing(lo.alpha, lo.mean_revenue, hi.alpha, hi.mean_revenue))
 
@@ -216,24 +212,25 @@ def estimate_threshold(points: Sequence[RevenuePoint]) -> ThresholdEstimate:
         bracket=(lo.alpha, hi.alpha),
         ci95=(float(ci_lo), float(ci_hi)),
         crossing_confirmed=confirmed,
+        points=tuple(points),
     )
 
 
-def threshold_search(cfg: SweepConfig, sweep=run_sweep) -> Tuple[list, ThresholdEstimate]:
+def threshold_search(cfg: SweepConfig, sweep=run_sweep) -> ThresholdEstimate:
     """Sweep the grid, then sharpen an interior bracket with its midpoint.
 
     The refinement reruns the estimator over the grid plus the bracket
-    midpoint, halving the quantization of the reported threshold.
-    ``sweep`` maps a SweepConfig to its revenue points in grid order; it
-    runs both the grid and the one-point midpoint config.
+    midpoint, halving the quantization of the reported threshold; the
+    returned estimate's ``points`` include the midpoint.  ``sweep`` maps
+    a SweepConfig to its revenue points in grid order; it runs both the
+    grid and the one-point midpoint config.
     """
-    points = sweep(cfg)
-    estimate = estimate_threshold(points)
+    estimate = estimate_threshold(sweep(cfg))
     if estimate.threshold is None:
-        return points, estimate
+        return estimate
     b_lo, b_hi = estimate.bracket
     mid = round((b_lo + b_hi) / 2.0, 6)
     if not b_lo < mid < b_hi:
-        return points, estimate
-    merged = sorted(points + sweep(replace(cfg, alpha_grid=(mid,))), key=lambda p: p.alpha)
-    return merged, estimate_threshold(merged)
+        return estimate
+    merged = [*estimate.points, *sweep(replace(cfg, alpha_grid=(mid,)))]
+    return estimate_threshold(sorted(merged, key=lambda p: p.alpha))

@@ -3,18 +3,20 @@
 A JSON config describes either a single simulation (a ``miners`` list)
 or a power sweep (a ``sweep`` block).  The parser checks only the JSON
 shape: known and required keys, value types, enum names, and which keys
-go together.  Ranges and cross-field rules (powers, gamma, grid order,
-protocol parameters) belong to the config classes it builds, and every
-error names the config file once.
+go together.  It passes on only the keys a file sets, so an omitted knob
+takes the config class's own default; ranges, defaults and cross-field
+rules (powers, gamma, grid order, protocol parameters) belong to the
+config classes it builds, and every error names the config file once.
 
 Outputs are written under one directory: ``results.csv`` holds one row
 per (run, miner) with the ``ResultRow`` fields as columns,
-``thresholds.json`` maps series keys to threshold estimates,
-``plotdata/`` gets one revenue-curve CSV per series with a fair-share
-baseline column, and ``manifest.json`` records the ``RunManifest``
-fields: tool version, config digest, master seed, timestamp and the
-files written.  Text outputs are UTF-8 with LF line endings; a failed
-write removes whatever partial outputs it created.
+``thresholds.json`` maps series keys (``SweepConfig.key()``) to
+threshold estimates, ``plotdata/`` gets one CSV per threshold estimate
+holding the attacker-1 revenue curve it was computed from, with a
+fair-share baseline column, and ``manifest.json`` records the
+``RunManifest`` fields: tool version, config digest, master seed,
+timestamp and the files written.  Text outputs are UTF-8 with LF line
+endings; a failed write removes whatever partial outputs it created.
 """
 
 from __future__ import annotations
@@ -25,24 +27,23 @@ import json
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .config import (
+    PROTOCOL_PARAMS,
     ConfigError,
     EndCondition,
-    FruitchainParams,
     MinerKind,
     MinerSpec,
     ProtocolName,
     SimulationConfig,
-    StrongchainParams,
     config_digest,
-    default_gamma,
     is_int,
     is_number,
 )
 from .engine import SimulationResult
 from .experiments import SweepConfig, ThresholdEstimate
+
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -142,7 +143,6 @@ _TOP_KEYS = (
     "protocol_params",
     "end_condition",
 )
-_PARAMS = {ProtocolName.STRONGCHAIN: StrongchainParams, ProtocolName.FRUITCHAIN: FruitchainParams}
 
 _INT = ("an integer", is_int)
 _NUMBER = ("a number", is_number)
@@ -154,17 +154,17 @@ _OBJECTS = (
 )
 
 
-def _value(obj: dict, key: str, kind, where: str = "", default=None, required: bool = False):
+def _value(obj: dict, key: str, kind, where: str = "", required: bool = False):
     """``obj[key]`` checked against a JSON value kind.
 
-    An optional key that is absent or null gives ``default``; a required
-    key must be present, and null fails its kind.
+    An optional key that is absent or null gives None; a required key
+    must be present, and null fails its kind.
     """
     if required and key not in obj:
         raise ConfigError(f"{where}missing required key '{key}'")
     v = obj.get(key)
     if v is None and not required:
-        return default
+        return None
     what, ok = kind
     if not ok(v):
         raise ConfigError(f"{where}key '{key}': expected {what}, got {v!r}")
@@ -199,21 +199,22 @@ def _build(where: str, cls, **kwargs):
         raise ConfigError(f"{where}{e}") from None
 
 
-def _parse_params(proto: ProtocolName, raw: dict):
-    d = _value(raw, "protocol_params", _OBJECT)
-    if d is None:
-        return None
-    where = "key 'protocol_params': "
-    cls = _PARAMS.get(proto)
+def _given(obj: dict, spec) -> dict:
+    """Keyword arguments for the keys of ``obj`` that ``spec`` names.
+
+    ``spec`` lists (key, keyword, kind) triples.  A key that is absent or
+    null is left out, so the config class's own default applies.
+    """
+    return {name: _value(obj, key, kind) for key, name, kind in spec if obj.get(key) is not None}
+
+
+def _parse_params(proto: ProtocolName, d: dict):
+    cls = PROTOCOL_PARAMS.get(proto)
     if cls is None:
-        raise ConfigError(f"{where}nakamoto takes no protocol parameters")
+        return d  # the config class refuses parameters for this protocol
+    where = "key 'protocol_params': "
     _known(d, [f.name for f in fields(cls)], where)
     return _build(where, cls, **d)
-
-
-def _parse_gamma(raw: dict, proto: ProtocolName, n_selfish: int) -> float:
-    g = _value(raw, "gamma", _NUMBER)
-    return default_gamma(proto, n_selfish) if g is None else float(g)
 
 
 def _parse_miners(raw: dict) -> tuple:
@@ -228,12 +229,13 @@ def _parse_miners(raw: dict) -> tuple:
     return tuple(miners)
 
 
-def _parse_end_condition(raw: dict) -> EndCondition:
+def _parse_end_condition(raw: dict) -> Optional[EndCondition]:
     rounds = _value(raw, "rounds", _INT)
     ec = _value(raw, "end_condition", _OBJECT)
     if ec is None:
-        budget = 100_000 if rounds is None else rounds
-        return _build("key 'rounds': ", EndCondition, round_budget=budget)
+        if rounds is None:
+            return None
+        return _build("key 'rounds': ", EndCondition, round_budget=rounds)
     if rounds is not None:
         raise ConfigError("keys 'rounds' and 'end_condition' are mutually exclusive")
     where = "key 'end_condition': "
@@ -246,25 +248,21 @@ def _parse_end_condition(raw: dict) -> EndCondition:
     )
 
 
-def _parse_sweep(proto: ProtocolName, raw: dict, seed: int) -> SweepConfig:
+def _parse_sweep(proto: ProtocolName, raw: dict, knobs: dict) -> SweepConfig:
     if raw.get("end_condition") is not None:
         raise ConfigError("key 'end_condition': only applies to simulate configs (use 'rounds')")
     where = "key 'sweep': "
     sw = _value(raw, "sweep", _OBJECT)
     _known(sw, ("alpha_grid", "attackers", "rivals"), where)
     grid = _value(sw, "alpha_grid", _NUMBERS, where, required=True)
-    k = _value(sw, "attackers", _INT, where)
     rivals = _value(sw, "rivals", _NUMBERS, where)
     return SweepConfig(
         protocol=proto,
         alpha_grid=tuple(grid),
-        symmetric_attackers=k,
+        symmetric_attackers=_value(sw, "attackers", _INT, where),
         fixed_rivals=None if rivals is None else tuple(rivals),
-        gamma=_parse_gamma(raw, proto, k if k is not None else 1 + len(rivals or ())),
-        repeats=_value(raw, "repeats", _INT, default=5),
-        rounds=_value(raw, "rounds", _INT, default=100_000),
-        master_seed=seed,
-        protocol_params=_parse_params(proto, raw),
+        **knobs,
+        **_given(raw, (("repeats", "repeats", _INT), ("rounds", "rounds", _INT))),
     )
 
 
@@ -275,30 +273,27 @@ def _parse(raw) -> Union[SimulationConfig, SweepConfig]:
     proto = _enum(ProtocolName, raw, "protocol")
     if (raw.get("miners") is None) == (raw.get("sweep") is None):
         raise ConfigError("exactly one of keys 'miners' and 'sweep' is required")
-    seed = _value(raw, "seed", _INT, default=0)
+    knobs = _given(raw, (("gamma", "gamma", _NUMBER), ("seed", "master_seed", _INT)))
+    params = _value(raw, "protocol_params", _OBJECT)
+    if params is not None:
+        knobs["protocol_params"] = _parse_params(proto, params)
     if raw.get("sweep") is not None:
-        return _parse_sweep(proto, raw, seed)
+        return _parse_sweep(proto, raw, knobs)
     if raw.get("repeats") is not None:
         raise ConfigError("key 'repeats': only applies to sweep configs")
-    miners = _parse_miners(raw)
-    return SimulationConfig(
-        protocol=proto,
-        miners=miners,
-        gamma=_parse_gamma(raw, proto, sum(m.kind is MinerKind.SELFISH for m in miners)),
-        master_seed=seed,
-        end_condition=_parse_end_condition(raw),
-        protocol_params=_parse_params(proto, raw),
-    )
+    end = _parse_end_condition(raw)
+    if end is not None:
+        knobs["end_condition"] = end
+    return SimulationConfig(protocol=proto, miners=_parse_miners(raw), **knobs)
 
 
 def parse_config(path) -> Union[SimulationConfig, SweepConfig]:
     """Load a JSON config file into a simulation or sweep config.
 
     Exactly one of ``miners`` (single simulation) and ``sweep`` (power
-    grid) must be present.  Omitted knobs fall back to the documented
-    defaults: 100000 rounds, 5 repeats, seed 0, protocol-default
-    parameters, and the usual tie-break rate for the scenario shape.
-    Every error is a ConfigError whose message names the file once.
+    grid) must be present.  Omitted knobs take the config classes'
+    defaults, the same ones a library caller gets.  Every error is a
+    ConfigError whose message names the file once.
     """
     p = Path(path)
     try:
@@ -320,13 +315,14 @@ def _row_values(row: ResultRow) -> list:
     return [fmt(getattr(row, c)) for c, (fmt, _) in zip(RESULT_COLUMNS, _COLUMN_CODECS)]
 
 
-def _threshold_key(key: tuple) -> str:
-    proto, gamma, k = key[0], key[1], key[2]
-    proto = proto.value if isinstance(proto, ProtocolName) else str(proto)
-    name = f"{proto} g={_fmt(gamma)} k={int(k)}"
-    if len(key) > 3 and key[3]:
-        name += f" rivals={','.join(_fmt(r) for r in key[3])}"
-    return name
+def _series_names(key: tuple) -> Tuple[str, str]:
+    """thresholds.json name and plotdata/ file stem of a ``SweepConfig.key()``."""
+    proto, gamma, k, *rivals = key
+    name, stem = f"{proto} g={_fmt(gamma)} k={k}", f"{proto}_g{_fmt(gamma)}_k{k}"
+    if rivals:
+        name += " rivals=" + ",".join(map(_fmt, rivals[0]))
+        stem += "_rivals_" + "-".join(map(_fmt, rivals[0]))
+    return name, stem
 
 
 def _threshold_entry(est: ThresholdEstimate) -> dict:
@@ -338,33 +334,6 @@ def _threshold_entry(est: ThresholdEstimate) -> dict:
     }
 
 
-def _series_splits(rows: Sequence[ResultRow]) -> dict:
-    """Group attacker-1 rows into plot series.
-
-    A series fixes protocol, gamma, attacker count and the rival power
-    tail; attacker 1's own power is the x axis.  Returns
-    {series name: {alpha: [revenues]}}.
-    """
-    selfish = []  # (row, series key, attacker-1 power)
-    first_id: dict = {}
-    for row in rows:
-        if row.miner_kind != MinerKind.SELFISH.value:
-            continue
-        alpha, *tail = row.alpha_per_attacker.split("|")
-        skey = (row.protocol, row.gamma, row.n_attackers, tuple(tail))
-        selfish.append((row, skey, alpha))
-        first_id[skey] = min(first_id.get(skey, row.miner_id), row.miner_id)
-    series: dict = {}
-    for row, skey, alpha in selfish:
-        if row.miner_id != first_id[skey]:
-            continue
-        name = f"{row.protocol}_g{_fmt(row.gamma)}_k{row.n_attackers}"
-        if skey[3]:
-            name += "_rivals_" + "-".join(skey[3])
-        series.setdefault(name, {}).setdefault(float(alpha), []).append(row.revenue)
-    return series
-
-
 def write_results(
     rows: Sequence[ResultRow],
     thresholds: Mapping[tuple, ThresholdEstimate],
@@ -374,9 +343,11 @@ def write_results(
 ) -> RunManifest:
     """Write results.csv, thresholds.json, plotdata/ and manifest.json.
 
-    Empty inputs still produce a header-only CSV and an empty threshold
-    map.  If any write fails, files created by this call are removed
-    before the error propagates.
+    ``thresholds`` maps ``SweepConfig.key()`` tuples to estimates; each
+    estimate's ``points`` become its plotdata/ curve.  Empty inputs still
+    produce a header-only CSV and an empty threshold map, and no
+    plotdata/.  If any write fails, files created by this call are
+    removed before the error propagates.
     """
     from . import __version__
 
@@ -400,30 +371,26 @@ def write_results(
             for row in rows:
                 writer.writerow(_row_values(row))
 
+        series = [(*_series_names(k), est) for k, est in thresholds.items()]
         thr_path = _creating(out / "thresholds.json")
-        payload = {_threshold_key(k): _threshold_entry(v) for k, v in thresholds.items()}
+        payload = {name: _threshold_entry(est) for name, _, est in series}
         thr_path.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
         outputs = ["results.csv", "thresholds.json"]
-        series = _series_splits(rows)
-        if series:
-            plot_dir = out / "plotdata"
-            if not plot_dir.exists():
-                plot_dir.mkdir()
-                made_dirs.append(plot_dir)
-            for name in sorted(series):
-                fpath = _creating(plot_dir / f"{name}.csv")
-                with fpath.open("w", encoding="utf-8", newline="") as fh:
-                    writer = csv.writer(fh, lineterminator="\n")
-                    writer.writerow(("alpha", "mean_revenue", "fair_share"))
-                    for alpha in sorted(series[name]):
-                        revs = series[name][alpha]
-                        writer.writerow(
-                            (_fmt(alpha), _fmt(sum(revs) / len(revs)), _fmt(alpha))
-                        )
-                outputs.append(f"plotdata/{name}.csv")
+        plot_dir = out / "plotdata"
+        if series and not plot_dir.exists():
+            plot_dir.mkdir()
+            made_dirs.append(plot_dir)
+        for _, stem, est in sorted(series, key=lambda s: s[1]):
+            fpath = _creating(plot_dir / f"{stem}.csv")
+            with fpath.open("w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(("alpha", "mean_revenue", "fair_share"))
+                for p in est.points:
+                    writer.writerow((_fmt(p.alpha), _fmt(p.mean_revenue), _fmt(p.alpha)))
+            outputs.append(f"plotdata/{stem}.csv")
 
         manifest = RunManifest(
             tool_version=__version__,

@@ -39,7 +39,6 @@ class AttackerState:
     """
 
     id: int
-    power: float
     anchor_index: int = -1
     anchor_bid: int = -1
     blocks: list = field(default_factory=list)

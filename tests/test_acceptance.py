@@ -7,6 +7,7 @@ whole gate is reproducible bit for bit.
 """
 
 import json
+import os
 
 import pytest
 
@@ -34,11 +35,17 @@ from selfishsim.suite import (
 
 pytestmark = pytest.mark.acceptance
 
+# Sweeps fan out over every CPU through the CLI's own task map, the path
+# threshold-suite --jobs takes; the worker count does not change outputs.
+JOBS = os.cpu_count() or 1
+
 
 @pytest.fixture(scope="module")
 def table():
     """Threshold estimates for every table cell, computed once."""
-    return {cell.name: (cell, estimate_threshold(run_sweep(cell.sweep))) for cell in table_cells()}
+    cells = table_cells()
+    outcomes = cli._map(cli._cell_task, cells, JOBS)
+    return {cell.name: (cell, est) for cell, (est, _rows) in zip(cells, outcomes)}
 
 
 def _pct(x):
@@ -147,10 +154,11 @@ def c5b_verdict(master_seed=MASTER_SEED):
     threshold keeps attacker 1 below fair share wherever the honest
     miners at least match the rival.  Returns (ok, verdict line).
     """
-    levels = []
-    for rival in RIVAL_LEVELS:
-        points = run_sweep(rival_threshold_sweep(rival, master_seed))
-        levels.append((rival, points, estimate_threshold(points)))
+    sweeps = [rival_threshold_sweep(rival, master_seed) for rival in RIVAL_LEVELS]
+    levels = [
+        (rival, points, estimate_threshold(points))
+        for rival, points in zip(RIVAL_LEVELS, cli._map(run_sweep, sweeps, JOBS))
+    ]
     solo = levels[0][2]
     rivals = levels[1:]
     if solo.threshold is None:

@@ -55,6 +55,7 @@ def test_simulate_writes_results(tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["master_seed"] == 7
     assert manifest["tool_version"]
+    assert not (out_dir / "plotdata").exists()  # a curve needs a sweep
 
 
 def test_simulate_seed_override_changes_outcome(tmp_path, capsys):
@@ -78,6 +79,17 @@ def test_sweep_reports_threshold_and_writes_outputs(tmp_path, capsys):
     thresholds = json.loads((out_dir / "thresholds.json").read_text())
     assert list(thresholds) == ["nakamoto g=0.5 k=1"]
     assert (out_dir / "plotdata" / "nakamoto_g0.5_k1.csv").exists()
+
+
+def test_rival_sweep_writes_one_rivals_curve(tmp_path):
+    # attacker 1 at the rival's own power is still a point of the rivals curve
+    payload = dict(SWEEP, sweep={"alpha_grid": [0.1, 0.2, 0.3], "rivals": [0.2]})
+    out_dir = tmp_path / "rv"
+    assert cli.main(["sweep", "--config", _cfg_file(tmp_path, payload), "--out", str(out_dir)]) == 0
+    plots = sorted(p.name for p in (out_dir / "plotdata").iterdir())
+    assert plots == ["nakamoto_g0.5_k2_rivals_0.2.csv"]
+    lines = (out_dir / "plotdata" / plots[0]).read_text(encoding="utf-8").splitlines()
+    assert "0.2" in [line.split(",")[0] for line in lines[1:]]
 
 
 def test_sweep_jobs_do_not_change_outputs(tmp_path):

@@ -167,3 +167,26 @@ def test_huge_attacker_count_is_refused_without_allocating():
 def test_symmetric_builder_rejects_overfull_network():
     with pytest.raises(ConfigError):
         symmetric_attacker_config(ProtocolName.NAKAMOTO, 3, 0.34)
+
+
+def test_digest_is_pinned():
+    # Run seeds derive from this digest, so any change to its payload moves
+    # every output.  One int-only and two fruit parameter sets, with int
+    # and with float rewards.
+    strong = symmetric_attacker_config(
+        ProtocolName.STRONGCHAIN, 2, 0.2, gamma=0.5, rounds=5000,
+        protocol_params=StrongchainParams(ratio=4),
+    )
+    fruit_int = symmetric_attacker_config(
+        ProtocolName.FRUITCHAIN, 1, 0.3, gamma=0.0, rounds=5000,
+        protocol_params=FruitchainParams(5, 3, 2, 1),
+    )
+    fruit_float = rival_attacker_config(
+        ProtocolName.FRUITCHAIN, 0.25, (0.2,), gamma=0.5,
+        protocol_params=FruitchainParams(8, 4, 1.0, 0.125),
+    )
+    assert [config_digest(c) for c in (strong, fruit_int, fruit_float)] == [
+        731583043132408646,
+        6541438617403619312,
+        5069709593959087871,
+    ]

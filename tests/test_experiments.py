@@ -101,7 +101,8 @@ def test_on_result_sees_runs_in_grid_order():
 
 
 def test_threshold_search_refines_with_bracket_midpoint():
-    points, est = threshold_search(_tiny_sweep())
+    est = threshold_search(_tiny_sweep())
+    points = list(est.points)
     assert 0.25 in [p.alpha for p in points]
     assert est.bracket[0] >= 0.2 and est.bracket[1] <= 0.3
     coarse_points = run_sweep(_tiny_sweep())
@@ -117,9 +118,9 @@ def test_threshold_search_runs_grid_and_midpoint_through_sweep():
         seen.append(cfg)
         return run_sweep(cfg)
 
-    points, est = threshold_search(_tiny_sweep(), sweep)
+    est = threshold_search(_tiny_sweep(), sweep)
     assert seen == [_tiny_sweep(), dataclasses.replace(_tiny_sweep(), alpha_grid=(0.25,))]
-    assert (points, est) == threshold_search(_tiny_sweep())
+    assert est == threshold_search(_tiny_sweep())
 
 
 def test_sweep_config_validation():

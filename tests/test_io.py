@@ -8,13 +8,21 @@ import pytest
 
 from selfishsim.config import (
     ConfigError,
+    MinerKind,
+    MinerSpec,
     ProtocolName,
     SimulationConfig,
     rival_attacker_config,
     symmetric_attacker_config,
 )
 from selfishsim.engine import run_simulation
-from selfishsim.experiments import SweepConfig, ThresholdEstimate
+from selfishsim.experiments import (
+    RevenuePoint,
+    SweepConfig,
+    ThresholdEstimate,
+    estimate_threshold,
+    run_sweep,
+)
 from selfishsim.io import (
     RESULT_COLUMNS,
     describe_digest,
@@ -252,12 +260,10 @@ def test_empty_rows_write_header_only(tmp_path):
 
 def test_plotdata_series_have_fair_share_baseline(tmp_path):
     rows = []
-    cfg_lo = symmetric_attacker_config(ProtocolName.NAKAMOTO, 1, 0.2, rounds=500, master_seed=5)
-    cfg_hi = symmetric_attacker_config(ProtocolName.NAKAMOTO, 1, 0.3, rounds=500, master_seed=5)
-    for cfg in (cfg_lo, cfg_hi):
-        for i in range(2):
-            rows.extend(rows_from_result(run_simulation(cfg, run_index=i)))
-    write_results(rows, {}, tmp_path / "out", master_seed=5)
+    sweep = SweepConfig(protocol=ProtocolName.NAKAMOTO, alpha_grid=(0.2, 0.3),
+                        symmetric_attackers=1, repeats=2, rounds=500, master_seed=5)
+    points = run_sweep(sweep, on_result=lambda r: rows.extend(rows_from_result(r)))
+    write_results(rows, {sweep.key(): estimate_threshold(points)}, tmp_path / "out", master_seed=5)
     series = tmp_path / "out" / "plotdata" / "nakamoto_g0.5_k1.csv"
     lines = series.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "alpha,mean_revenue,fair_share"
@@ -278,8 +284,9 @@ def test_failed_write_cleans_up_partials(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     (out / "plotdata").write_text("in the way", encoding="utf-8")
+    est = ThresholdEstimate(threshold=None, points=(RevenuePoint(0.3, (0.28, 0.3)),))
     with pytest.raises(OSError):
-        write_results(_sample_rows(), {}, out, master_seed=5)
+        write_results(_sample_rows(), {("nakamoto", 0.5, 1): est}, out, master_seed=5)
     assert not (out / "results.csv").exists()
     assert not (out / "thresholds.json").exists()
     assert (out / "plotdata").read_text(encoding="utf-8") == "in the way"
@@ -294,3 +301,31 @@ def test_describe_digest_shapes():
     assert d_sim == describe_digest(sim)
     int(d_sim, 16)
     int(d_sweep, 16)
+
+
+def test_plotdata_curve_is_the_estimate_points(tmp_path):
+    # the curve is attacker 1's mean revenue at each point the estimate used
+    points = (RevenuePoint(0.1, (0.0625, 0.1875)), RevenuePoint(0.2, (0.25, 0.5)))
+    est = ThresholdEstimate(threshold=0.15, points=points)
+    write_results([], {("fruitchain", 0.5, 2, (0.2,)): est}, tmp_path / "o")
+    curve = tmp_path / "o" / "plotdata" / "fruitchain_g0.5_k2_rivals_0.2.csv"
+    lines = curve.read_text(encoding="utf-8").splitlines()
+    assert lines == ["alpha,mean_revenue,fair_share", "0.1,0.125,0.1", "0.2,0.375,0.2"]
+    assert sorted(p.name for p in (tmp_path / "o" / "plotdata").iterdir()) == [curve.name]
+
+
+@pytest.mark.parametrize("protocol", ["strongchain", "nakamoto"])
+def test_single_attacker_gamma_default_is_shared(tmp_path, protocol):
+    # one default for a config built without gamma, however it is built
+    proto = ProtocolName(protocol)
+    miners = (MinerSpec(0, 0.3, MinerKind.SELFISH), MinerSpec(1, 0.7, MinerKind.HONEST))
+    sim = SimulationConfig(protocol=proto, miners=miners)
+    sweep = SweepConfig(protocol=proto, alpha_grid=(0.3,), symmetric_attackers=1)
+    parsed_sim = parse_config(_write(tmp_path, dict(SIM_PAYLOAD, protocol=protocol), "a.json"))
+    parsed_sweep = parse_config(_write(
+        tmp_path, {"protocol": protocol, "sweep": {"alpha_grid": [0.3], "attackers": 1}}, "b.json"
+    ))
+    built = symmetric_attacker_config(proto, 1, 0.3)
+    gammas = [c.gamma for c in (sim, sweep, parsed_sim, parsed_sweep, built)]
+    assert gammas == [0.0 if protocol == "strongchain" else 0.5] * 5
+    assert sim == parsed_sim == built

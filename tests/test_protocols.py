@@ -8,7 +8,6 @@ from selfishsim.config import (
     FruitchainParams,
     StrongchainParams,
     balanced_fruit_params,
-    fruit_heavy_params,
 )
 from selfishsim.engine import Block, _Run, run_simulation
 from selfishsim.rng import stream_uniforms
@@ -98,7 +97,8 @@ def test_fruit_quantum_covers_block_plus_flush():
 
 def test_reward_split_presets():
     # one block embedding fruit_ratio fruits carries a full interval's reward
-    for params, block_share in ((balanced_fruit_params(), 0.5), (fruit_heavy_params(), 1 / 11)):
+    fruit_heavy = FruitchainParams(10, 10, 1.0, 1.0)
+    for params, block_share in ((balanced_fruit_params(), 0.5), (fruit_heavy, 1 / 11)):
         fruits = [(1, 0, 0)] * params.fruit_ratio
         rewards = fruitchain.tally_rewards([Block(1, 0, 20, emb=fruits)], params, 2)
         assert rewards[0] / sum(rewards) == pytest.approx(block_share)

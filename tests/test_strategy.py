@@ -124,7 +124,7 @@ class ScriptedChain:
 
 
 def _attacker(aid, units, blocks=True):
-    att = AttackerState(aid, 0.2)
+    att = AttackerState(aid)
     att.anchor_index = 0
     att.anchor_bid = 1
     att.units = units
@@ -182,7 +182,7 @@ def test_cascade_runaway_guard():
 
 
 def test_floating_attackers_are_left_alone():
-    att = AttackerState(0, 0.2)  # floating: no anchor yet
+    att = AttackerState(0)  # floating: no anchor yet
     att.units = 5
     chain = ScriptedChain({0: 0})
     assert cascade_release([att], chain) == []
