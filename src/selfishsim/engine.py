@@ -56,7 +56,7 @@ from .config import (
     config_digest,
 )
 from .rng import RoundLanes, derive_run_seed, lane_seed
-from .strategy import HONEST_BRANCH, Action, AttackerState, cascade_release
+from .strategy import HONEST_BRANCH, OVERRIDE, WAIT, AttackerState, cascade_release
 
 CHUNK = 1 << 16  # rounds of lanes drawn and decoded at a time
 
@@ -183,11 +183,15 @@ class _Run:
         i = height - self.base
         return 0 <= i < len(self.chain) and self.chain[i].bid == bid
 
-    def anchor_alive(self, att: AttackerState) -> bool:
-        return att.anchor_index < 0 or self._canonical(att.anchor_bid, att.anchor_index)
-
-    def public_units_from(self, att: AttackerState) -> int:
-        return self.public_units - self.chain[att.anchor_index - self.base].cum
+    def public_units_from(self, att: AttackerState) -> Optional[int]:
+        """Public strength past the attacker's anchor; None once a release orphaned it."""
+        i = att.anchor_index - self.base
+        chain = self.chain
+        if 0 <= i < len(chain):
+            anchor = chain[i]
+            if anchor.bid == att.anchor_bid:
+                return self.public_units - anchor.cum
+        return None
 
     def do_adopt(self, att: AttackerState) -> None:
         dropped = att.blocks
@@ -472,7 +476,6 @@ class _Run:
         attackers = self.attackers
         collect = self.collect
         kind_names = KIND_NAMES[self.proto]
-        OVERRIDE, WAIT = Action.OVERRIDE, Action.WAIT
 
         i = 0
         while limit is None or i < limit:

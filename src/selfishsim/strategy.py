@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 HONEST_BRANCH = "honest"
 
@@ -20,6 +21,12 @@ class Action(str, Enum):
     MATCH = "match"
     OVERRIDE = "override"
     WAIT = "wait"
+
+
+# Bound once: the hot path reads a module global several times faster than an enum-class lookup.
+ADOPT, MATCH, OVERRIDE, WAIT = Action.ADOPT, Action.MATCH, Action.OVERRIDE, Action.WAIT
+
+_SCAN_ORDER = attrgetter("units", "id")
 
 
 @dataclass
@@ -80,12 +87,12 @@ def decide_action(
     if quantum <= 0:
         raise ValueError("quantum must be positive")
     if public_strength > private_strength:
-        return Action.ADOPT
+        return ADOPT
     if public_strength == private_strength:
-        return Action.MATCH if has_private_artifacts else Action.WAIT
+        return MATCH if has_private_artifacts else WAIT
     if private_strength - public_strength <= quantum:
-        return Action.OVERRIDE
-    return Action.WAIT
+        return OVERRIDE
+    return WAIT
 
 
 def cascade_release(attackers, chain) -> list:
@@ -96,12 +103,14 @@ def cascade_release(attackers, chain) -> list:
     override it, as in chained-override races.  Adopts only mutate attacker
     state; an override or match changes the public chain and restarts the
     scan.  An attacker whose anchor a release orphaned adopts, however
-    strong its branch.  ``chain`` supplies the protocol view: anchor
-    liveness, strength deltas, the override quantum and the three state
-    mutations.  The engine settles a run with one more call whose quantum
-    is unbounded, so every branch ahead of the public chain from a live
-    anchor is published.  Returns the executed actions as (attacker id,
-    Action) pairs.
+    strong its branch.  When no attacker withholds, the call returns at once
+    without reading ``chain``.  ``chain`` supplies the protocol view:
+    ``public_units_from(att)``, the public strength past the attacker's
+    anchor or None once that anchor is orphaned, the override quantum and
+    the three state mutations.  The engine settles a run with one more call
+    whose quantum is unbounded, so every branch ahead of the public chain
+    from a live anchor is published.  Returns the executed actions as
+    (attacker id, Action) pairs.
 
     The loop is bounded: every public change consumes withheld strength or
     a one-shot match, so more than ``2 * len(attackers) + 2`` restarts mark
@@ -111,30 +120,33 @@ def cascade_release(attackers, chain) -> list:
     restarts = 0
     limit = 2 * len(attackers) + 2
     while True:
+        held = [a for a in attackers if a.anchor_index >= 0]
+        if not held:
+            return actions
+        if len(held) > 1:
+            held.sort(key=_SCAN_ORDER)
         changed = False
-        order = sorted((a for a in attackers if not a.floating), key=lambda a: (a.units, a.id))
-        for att in order:
-            if not chain.anchor_alive(att):
-                chain.do_adopt(att)
-                actions.append((att.id, Action.ADOPT))
-                continue
+        for att in held:
             public_units = chain.public_units_from(att)
-            # Bare weak headers cannot form a competing chain: only a
-            # withheld block gives a level attacker something to match with.
-            verdict = decide_action(att.units, public_units, bool(att.blocks), chain.quantum_units)
-            if verdict is Action.ADOPT:
+            if public_units is None:
+                verdict = ADOPT
+            else:
+                # Bare weak headers cannot form a competing chain: only a
+                # withheld block gives a level attacker something to match with.
+                verdict = decide_action(att.units, public_units, bool(att.blocks), chain.quantum_units)
+            if verdict is ADOPT:
                 chain.do_adopt(att)
-                actions.append((att.id, Action.ADOPT))
-            elif verdict is Action.OVERRIDE:
+                actions.append((att.id, ADOPT))
+            elif verdict is OVERRIDE:
                 chain.do_override(att)
-                actions.append((att.id, Action.OVERRIDE))
+                actions.append((att.id, OVERRIDE))
                 changed = True
                 break
-            elif verdict is Action.MATCH:
+            elif verdict is MATCH:
                 if att.in_match:
                     continue
                 chain.do_match(att)
-                actions.append((att.id, Action.MATCH))
+                actions.append((att.id, MATCH))
                 changed = True
                 break
         if not changed:

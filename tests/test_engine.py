@@ -21,6 +21,7 @@ from selfishsim.config import (
 )
 from selfishsim.engine import Block, _Run, run_simulation
 from selfishsim.rng import stream_uniforms
+from selfishsim.strategy import ADOPT, OVERRIDE, cascade_release
 
 THREE_MINERS = (
     MinerSpec(0, 0.2, MinerKind.HONEST),
@@ -413,12 +414,35 @@ def test_fold_stops_at_the_lowest_live_anchor(protocol):
     assert run.base == 30 - (window - 1)
     assert run.chain[0].bid == run.base
     assert run.folded == [0.0, 0.0, 0.0, float(run.base)]
-    assert run.anchor_alive(run.attackers[1])
-    assert run.anchor_alive(run.attackers[2])
+    assert run.public_units_from(run.attackers[1]) is not None
+    assert run.public_units_from(run.attackers[2]) is not None
     run.attackers[2].reset()
     run._fold()
     assert run.base == 40 - (window - 1)
     assert run._result(0, 0).rewards == [0.0, 0.0, 0.0, 60.0]
+
+
+def test_an_orphaned_anchor_has_no_public_strength_and_adopts():
+    # Five honest blocks; attacker 0 holds 5 blocks from height 1 (public 4,
+    # so it overrides), attacker 1 holds 6 from height 3 (public 2, so it
+    # waits).  Attacker 0 is weaker, so it releases first and cuts at height
+    # 2, below attacker 1's anchor.
+    run = _Run(quick_config("nakamoto", alpha=0.1, attackers=2), 0, collect_records=False)
+    run.chain = [Block(0, -1, 0)] + [Block(h, 2, h) for h in range(1, 6)]
+    run.public_units = 5
+    for att, (anchor, n) in zip(run.attackers, [(1, 5), (3, 6)]):
+        att.anchor_index, att.anchor_bid = anchor, anchor
+        att.blocks = [Block(10 * (att.id + 1) + j, att.id, anchor + 1 + j, ()) for j in range(n)]
+        att.units = n
+    first, rival = run.attackers
+    assert run.public_units_from(first) == 4
+    assert run.public_units_from(rival) == 2
+    assert cascade_release([first], run) == [(0, OVERRIDE)]
+    assert run.chain[3 - run.base].bid != rival.anchor_bid
+    assert run.public_units_from(rival) is None
+    assert cascade_release(run.attackers, run) == [(1, ADOPT)]
+    assert rival.floating and rival.units == 0
+    assert [b.bid for b in run.chain] == [0, 1] + list(range(10, 15))
 
 
 def _settling_run():

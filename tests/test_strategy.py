@@ -84,9 +84,11 @@ def test_match_weights_normalise_over_random_draws():
 class ScriptedChain:
     """Minimal chain view that lets the cascade play out a fixed story.
 
-    ``public`` maps attacker id to the public strength past its anchor;
-    an override zeroes the owner's gap and adds the published units to
-    every other anchored attacker's gap, like a real reorg would.
+    ``public`` maps attacker id to the public strength past its anchor,
+    which ``public_units_from`` reports, or None for an attacker in
+    ``dead`` (its anchor orphaned); an override zeroes the owner's gap and
+    adds the published units to every other anchored attacker's gap, like
+    a real reorg would.
     """
 
     quantum_units = 1
@@ -96,11 +98,8 @@ class ScriptedChain:
         self.dead = set(dead)
         self.log = []
 
-    def anchor_alive(self, att):
-        return att.id not in self.dead
-
     def public_units_from(self, att):
-        return self.public[att.id]
+        return None if att.id in self.dead else self.public[att.id]
 
     def do_adopt(self, att):
         self.log.append((att.id, Action.ADOPT))
@@ -143,6 +142,16 @@ def test_cascade_chained_overrides_weakest_first():
     assert a.floating and b.floating
 
 
+def test_cascade_breaks_equal_strength_by_id():
+    # Listed against id order: a key without the id would release b first.
+    b = _attacker(1, 1)
+    a = _attacker(0, 1)
+    chain = ScriptedChain({0: 0, 1: 0})
+    actions = cascade_release([b, a], chain)
+    # a overrides by its one unit, which leaves b level and holding a block.
+    assert actions == [(0, Action.OVERRIDE), (1, Action.MATCH)]
+
+
 def test_cascade_adopts_on_dead_anchor_and_weak_branch():
     dead = _attacker(0, 3)
     behind = _attacker(1, 1)
@@ -181,9 +190,15 @@ def test_cascade_runaway_guard():
         cascade_release([att], BrokenChain({0: 0}))
 
 
+class UnreadableChain:
+    """Chain view whose every method raises: a cascade may not consult it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"cascade read chain.{name}")
+
+
 def test_floating_attackers_are_left_alone():
     att = AttackerState(0)  # floating: no anchor yet
     att.units = 5
-    chain = ScriptedChain({0: 0})
-    assert cascade_release([att], chain) == []
-    assert chain.log == []
+    assert cascade_release([att], UnreadableChain()) == []
+    assert att.floating and att.units == 5
