@@ -58,7 +58,12 @@ from .config import (
 from .rng import RoundLanes, derive_run_seed, lane_seed
 from .strategy import HONEST_BRANCH, OVERRIDE, WAIT, AttackerState, cascade_release
 
-CHUNK = 1 << 16  # rounds of lanes drawn and decoded at a time
+# Rounds of lanes drawn and decoded at a time, and the fold interval.  A
+# 4,096-round chunk's lanes, decoded lists and live blocks take a few
+# hundred kilobytes, small enough to stay in the CPU cache, so a run of any
+# length adds under 1 MB to the interpreter; 65,536 rounds would add
+# 12-18 MB and run slower.
+CHUNK = 1 << 12
 
 # Record name of a round's (light, heavy) artifact.
 KIND_NAMES = {
@@ -486,7 +491,7 @@ class _Run:
             lanes = RoundLanes(lane_seed(run_seed, first), n)
             leaders = np.searchsorted(cum_powers, lanes.leader, side="right").tolist()
             heavies = (lanes.kind < p_heavy).tolist()
-            lane_tie = lanes.tie
+            lane_tie = lanes.tie.tolist()
             for leader, heavy in zip(leaders, heavies):
                 tie = self.tie
                 own = None  # the leader's own move, as recorded
@@ -520,7 +525,10 @@ class _Run:
                     moves = (() if own is None else ((leader, own),)) + tuple(acts)
                     self.records.append(RoundRecord(i, leader, kind_names[heavy], moves))
                 i += 1
-                if target is not None and self._max_height() >= target:
+                # Only a block raises the highest chain: a fruit or weak
+                # header adds no block, a branch anchors at the tip, and a
+                # release publishes a branch whose height already counted.
+                if heavy and target is not None and self._max_height() >= target:
                     limit = i  # the run ends here; no further chunk is drawn
                     break
 

@@ -35,8 +35,8 @@ class SweepConfig:
 
     Exactly one of ``symmetric_attackers`` (every attacker gets the grid
     power) or ``fixed_rivals`` (attacker 1 walks the grid against fixed
-    rival powers) must be set.  A ``gamma`` of None resolves to the grid
-    points' default; ``protocol_params`` pass to every grid point as given.
+    rival powers) must be set.  A ``gamma`` or ``protocol_params`` of None
+    resolves to the grid points' default.
     """
 
     protocol: ProtocolName
@@ -72,8 +72,11 @@ class SweepConfig:
             raise ConfigError("repeats must be >= 1")
         # The largest grid power leaves the least honest power, so its
         # config meets every power, gamma, params and rounds rule that
-        # any grid point must; it also resolves the gamma they all share.
-        object.__setattr__(self, "gamma", self.point_config(grid[-1]).gamma)
+        # any grid point must; it also resolves the gamma and protocol
+        # params they all share, so equal sweeps have equal reprs.
+        top = self.point_config(grid[-1])
+        object.__setattr__(self, "gamma", top.gamma)
+        object.__setattr__(self, "protocol_params", top.protocol_params)
 
     def key(self) -> tuple:
         """Series key for thresholds.json: protocol, gamma, attacker count, rivals."""
@@ -175,7 +178,7 @@ def estimate_threshold(points: Sequence[RevenuePoint]) -> ThresholdEstimate:
     its first point.  The confidence interval is a percentile bootstrap
     of the crossing, resampling run-level revenues at the bracket
     ``BOOTSTRAP_RESAMPLES`` times from a generator seeded with
-    ``BOOTSTRAP_SEED``.
+    ``BOOTSTRAP_SEED``; each bracket point resamples its own run count.
     """
     if len(points) < 2:
         raise ValueError("need at least 2 grid points")
@@ -198,11 +201,14 @@ def estimate_threshold(points: Sequence[RevenuePoint]) -> ThresholdEstimate:
     threshold = float(_interp_crossing(lo.alpha, lo.mean_revenue, hi.alpha, hi.mean_revenue))
 
     rng = np.random.default_rng(BOOTSTRAP_SEED)
-    lo_runs = np.asarray(lo.run_revenues)
-    hi_runs = np.asarray(hi.run_revenues)
-    n = lo_runs.shape[0]
-    lo_means = lo_runs[rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))].mean(axis=1)
-    hi_means = hi_runs[rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))].mean(axis=1)
+
+    def resampled_means(point):
+        runs = np.asarray(point.run_revenues)
+        n = len(runs)
+        return runs[rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))].mean(axis=1)
+
+    lo_means = resampled_means(lo)  # first: the pinned suite outputs depend on draw order
+    hi_means = resampled_means(hi)
     crossings = _interp_crossing(lo.alpha, lo_means, hi.alpha, hi_means)
     ci_lo, ci_hi = np.percentile(crossings, (2.5, 97.5))
     eps = 1e-9  # percentile interpolation dust must not fail an exact hit

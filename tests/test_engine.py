@@ -531,3 +531,37 @@ def test_million_round_run_keeps_memory_bounded(protocol):
         env=env, capture_output=True, text=True, check=True,
     )
     assert float(out.stdout) < 20.0
+
+
+# Linux carries a parent's peak RSS over fork and exec into the child's
+# ru_maxrss, so a child of this test process reads the peak from
+# /proc/self/status, whose VmHWM covers only the child's own image.
+_RSS_GROWTH_MB = """
+import sys
+from selfishsim.config import ProtocolName, symmetric_attacker_config
+from selfishsim.engine import run_simulation
+
+def status_mb(key):
+    with open("/proc/self/status") as f:
+        line = next(line for line in f if line.startswith(key + ":"))
+    return int(line.split()[1]) / 1024
+
+imported = status_mb("VmRSS")
+cfg = symmetric_attacker_config(ProtocolName(sys.argv[1]), 1, 0.25, gamma=0.5, rounds=1_000_000)
+run_simulation(cfg)
+print(status_mb("VmHWM") - imported)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux /proc")
+@pytest.mark.parametrize("protocol", ["nakamoto", "fruitchain"])
+def test_million_round_run_adds_little_over_the_imports(protocol):
+    # A run holds one chunk of lanes and live blocks, so a million rounds
+    # add little to what the imports already hold.
+    src = str(pathlib.Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _RSS_GROWTH_MB, protocol],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert float(out.stdout) <= 5.0

@@ -70,6 +70,18 @@ def test_crossing_lanes_match_scalar_rule():
         assert lanes.tolist() == expected
 
 
+@pytest.mark.parametrize("lo_n,hi_n", [(3, 5), (5, 3)])
+def test_bracket_points_resample_their_own_run_counts(lo_n, hi_n):
+    # The first three runs of each point are equal, so only the longer
+    # point's later runs can give the interval any width.
+    lo = RevenuePoint(alpha=0.24, run_revenues=(0.20,) * 3 + (0.23,) * (lo_n - 3))
+    hi = RevenuePoint(alpha=0.26, run_revenues=(0.30,) * 3 + (0.27,) * (hi_n - 3))
+    est = estimate_threshold([lo, hi])
+    assert est.threshold == _scalar_crossing(0.24, lo.mean_revenue, 0.26, hi.mean_revenue)
+    assert est.ci95[0] < est.threshold < est.ci95[1]
+    assert est.crossing_confirmed
+
+
 def test_estimator_input_validation():
     with pytest.raises(ValueError):
         estimate_threshold([_pt(0.1, 0.1)])

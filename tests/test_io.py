@@ -8,10 +8,12 @@ import pytest
 
 from selfishsim.config import (
     ConfigError,
+    FruitchainParams,
     MinerKind,
     MinerSpec,
     ProtocolName,
     SimulationConfig,
+    StrongchainParams,
     rival_attacker_config,
     symmetric_attacker_config,
 )
@@ -301,6 +303,15 @@ def test_describe_digest_shapes():
     assert d_sim == describe_digest(sim)
     int(d_sim, 16)
     int(d_sweep, 16)
+
+
+def test_sweep_digest_does_not_depend_on_spelled_out_defaults():
+    grid = dict(alpha_grid=(0.3,), symmetric_attackers=2)
+    for proto, params in [(ProtocolName.STRONGCHAIN, StrongchainParams()),
+                          (ProtocolName.FRUITCHAIN, FruitchainParams())]:
+        implicit = SweepConfig(protocol=proto, **grid)
+        explicit = SweepConfig(protocol=proto, protocol_params=params, **grid)
+        assert describe_digest(implicit) == describe_digest(explicit)
 
 
 def test_plotdata_curve_is_the_estimate_points(tmp_path):

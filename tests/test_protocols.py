@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import quick_config
-from selfishsim import fruitchain, nakamoto, strongchain
+from selfishsim import engine, fruitchain, nakamoto, strongchain
 from selfishsim.config import (
     FruitchainParams,
     StrongchainParams,
@@ -105,9 +105,10 @@ def test_reward_split_presets():
 
 
 @pytest.mark.parametrize("protocol", ["nakamoto", "strongchain", "fruitchain"])
-def test_tally_continues_from_a_prefix_total(protocol):
+def test_tally_continues_from_a_prefix_total(monkeypatch, protocol):
     # Folding settled blocks relies on this: each miner's sum gets its terms
     # in chain order whether the chain is tallied at once or in two parts.
+    monkeypatch.setattr(engine, "CHUNK", 1 << 16)  # the run fits in one chunk
     run = _Run(quick_config(protocol, alpha=0.15, rounds=20_000, seed=28, attackers=3), 0, False)
     run.run()
     assert run.base == 0  # one chunk: nothing folded, the whole chain is live
