@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import fruitchain, nakamoto, strongchain
+from . import fruitchain, strongchain
 from .config import (
     FruitchainParams,
     MinerKind,
@@ -158,7 +158,13 @@ class _Run:
             fparams: FruitchainParams = config.protocol_params
             self.fruit_ratio = fparams.fruit_ratio
             self.window = fparams.freshness_window
-            self.quantum_units = fruitchain.quantum_units(fparams)
+            # Fruits join branch strength only when embedded, so a public
+            # block lands with its flushed pendings in one jump: fruit_ratio
+            # units for the block plus on average fruit_ratio embedded
+            # fruits.  The override window covers that whole jump, unlike
+            # the header path, where pending headers count at once and a
+            # strong block advances by exactly its own weight.
+            self.quantum_units = 2 * fparams.fruit_ratio
             self.p_heavy = 1.0 / (fparams.fruit_ratio + 1)
         elif self.proto is ProtocolName.STRONGCHAIN:
             params: StrongchainParams = config.protocol_params
@@ -444,12 +450,9 @@ class _Run:
 
     def _tally(self, blocks, tip_pending=()) -> list:
         """Rewards of ``blocks`` added, in chain order, to the folded totals."""
-        n, params = self.n_miners, self.config.protocol_params
-        if self.proto is ProtocolName.NAKAMOTO:
-            return nakamoto.tally_rewards(blocks, n, self.folded)
-        if self.proto is ProtocolName.STRONGCHAIN:
-            return strongchain.tally_rewards(blocks, tip_pending, params, n, self.folded)
-        return fruitchain.tally_rewards(blocks, params, n, self.folded)
+        if self.fruit:
+            return fruitchain.tally_rewards(blocks, self.config.protocol_params, self.folded)
+        return strongchain.tally_rewards(blocks, tip_pending, self.ratio, self.folded)
 
     def _fold(self) -> None:
         """Fold the blocks below the lowest live anchor into ``folded``; drop them."""

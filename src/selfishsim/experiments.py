@@ -186,17 +186,10 @@ def estimate_threshold(points: Sequence[RevenuePoint]) -> ThresholdEstimate:
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("revenue points must be in strictly ascending alpha order")
 
-    excess = [p.mean_revenue - p.alpha for p in points]
-    if excess[0] >= 0.0:
-        lo = hi = points[0]
-    else:
-        lo = hi = None
-        for a, b in zip(points, points[1:]):
-            if b.mean_revenue - b.alpha >= 0.0:
-                lo, hi = a, b
-                break
-        if lo is None:
-            return ThresholdEstimate(threshold=None, points=tuple(points))
+    i = next((i for i, p in enumerate(points) if p.mean_revenue - p.alpha >= 0.0), None)
+    if i is None:
+        return ThresholdEstimate(threshold=None, points=tuple(points))
+    lo, hi = points[max(i - 1, 0)], points[i]
 
     threshold = float(_interp_crossing(lo.alpha, lo.mean_revenue, hi.alpha, hi.mean_revenue))
 

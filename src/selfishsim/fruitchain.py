@@ -15,27 +15,13 @@ from __future__ import annotations
 from .config import FruitchainParams
 
 
-def quantum_units(params: FruitchainParams) -> int:
-    """Strength step of one public block carrying a typical fruit load.
-
-    Fruits join branch strength only when embedded, so a public block
-    lands with its flushed pendings in one jump: fruit_ratio units for
-    the block plus on average fruit_ratio embedded fruits.  The override
-    window has to cover that whole jump, unlike strongchain where
-    pending headers count immediately and a strong block advances by
-    exactly its own weight.
-    """
-    return 2 * params.fruit_ratio
-
-
-def tally_rewards(blocks, params: FruitchainParams, n_miners: int, start=None) -> list:
-    """Rewards over the canonical chain; only embedded fruits pay.
+def tally_rewards(blocks, params: FruitchainParams, start) -> list:
+    """``start`` plus the rewards of ``blocks``; only embedded fruits pay.
 
     Embedded entries are (miner, pointer bid, pointer height) so a reorg
-    can tell which fruits stay re-embeddable.  ``start`` holds the totals
-    of the blocks before ``blocks``.
+    can tell which fruits stay re-embeddable.
     """
-    rewards = [0.0] * n_miners if start is None else list(start)
+    rewards = list(start)
     for b in blocks:
         rewards[b.miner] += params.block_reward
         if b.emb:

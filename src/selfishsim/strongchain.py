@@ -10,20 +10,16 @@ headers pay 1/ratio each, strong blocks pay 1.
 
 from __future__ import annotations
 
-from .config import StrongchainParams
 
-
-def tally_rewards(blocks, tip_pending, params: StrongchainParams, n_miners: int, start=None) -> list:
-    """Rewards over the canonical chain plus the pending headers at its tip.
-
-    ``start`` holds the totals of the blocks before ``blocks``.
-    """
-    per_weak = 1.0 / params.ratio
-    rewards = [0.0] * n_miners if start is None else list(start)
+def tally_rewards(blocks, tip_pending, ratio: int, start) -> list:
+    """``start`` plus the rewards of ``blocks`` and the weak headers pending at their tip."""
+    per_weak = 1.0 / ratio
+    rewards = list(start)
     for b in blocks:
         rewards[b.miner] += 1.0
-        for m in b.emb:
-            rewards[m] += per_weak
+        if b.emb:
+            for m in b.emb:
+                rewards[m] += per_weak
     for m in tip_pending:
         rewards[m] += per_weak
     return rewards

@@ -4,8 +4,9 @@ One place defines the grids, seeds and expected bands that both the
 ``threshold-suite`` CLI verb and the acceptance tests run, so the two
 can never drift apart.  Thresholds are percentage points of total
 power; each cell's grid brackets its expected band with one-point
-steps, and the estimator is the plain grid crossing (no midpoint
-refinement) so repeated runs of the suite agree bit for bit.
+steps.  The estimator is the plain grid crossing, with no midpoint
+refinement, because the bands and the pinned suite outputs were set on
+that crossing.
 """
 
 from __future__ import annotations

@@ -505,34 +505,6 @@ def test_folding_bounds_the_live_chain(monkeypatch, protocol):
     assert len(run.chain) <= 3 * SMALL_CHUNK + window
 
 
-_PEAK_GROWTH_MB = """
-import resource, sys
-from selfishsim import engine
-from selfishsim.config import ProtocolName, symmetric_attacker_config
-from selfishsim.engine import run_simulation
-
-def peak_mb(rounds):
-    cfg = symmetric_attacker_config(ProtocolName(sys.argv[1]), 1, 0.25, gamma=0.5, rounds=rounds)
-    run_simulation(cfg)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-one_chunk = peak_mb(engine.CHUNK)
-print(peak_mb(1_000_000) - one_chunk)
-"""
-
-
-@pytest.mark.parametrize("protocol", ["nakamoto", "fruitchain"])
-def test_million_round_run_keeps_memory_bounded(protocol):
-    # A fresh interpreter, so the peak RSS is this run's alone.
-    src = str(pathlib.Path(engine.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", _PEAK_GROWTH_MB, protocol],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert float(out.stdout) < 20.0
-
-
 # Linux carries a parent's peak RSS over fork and exec into the child's
 # ru_maxrss, so a child of this test process reads the peak from
 # /proc/self/status, whose VmHWM covers only the child's own image.

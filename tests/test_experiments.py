@@ -135,6 +135,26 @@ def test_threshold_search_runs_grid_and_midpoint_through_sweep():
     assert est == threshold_search(_tiny_sweep())
 
 
+@pytest.mark.parametrize(
+    "means,threshold", [((0.05, 0.12), None), ((0.15, 0.3), 0.1)], ids=["none-fair", "first-fair"]
+)
+def test_threshold_search_keeps_a_grid_estimate_with_no_interior_bracket(means, threshold):
+    # No grid point reaches fair share, or the first one already does:
+    # there is no bracket to halve, so no midpoint is run.
+    grid_points = [_pt(0.1, means[0]), _pt(0.2, means[1])]
+    calls = []
+
+    def sweep(cfg):
+        calls.append(cfg)
+        return grid_points
+
+    cfg = _tiny_sweep(grid=(0.1, 0.2))
+    est = threshold_search(cfg, sweep)
+    assert calls == [cfg]
+    assert est == estimate_threshold(grid_points)
+    assert est.threshold == threshold
+
+
 def test_sweep_config_validation():
     with pytest.raises(ConfigError):
         _tiny_sweep(grid=())

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import quick_config
-from selfishsim import engine, fruitchain, nakamoto, strongchain
+from selfishsim import engine
 from selfishsim.config import (
     FruitchainParams,
     StrongchainParams,
@@ -15,9 +15,15 @@ from selfishsim.rng import stream_uniforms
 HEAVY_KIND = {"strongchain": "strong", "fruitchain": "block"}
 
 
+def _tally(protocol, blocks, tip=(), attackers=1, params=None):
+    """The engine's own rewards for ``blocks`` and ``tip``, from zero totals."""
+    cfg = quick_config(protocol, attackers=attackers, protocol_params=params)
+    return _Run(cfg, 0, collect_records=False)._tally(blocks, tip)
+
+
 def test_nakamoto_one_reward_per_block():
     blocks = [Block(1, 0, 1), Block(2, 1, 2), Block(3, 0, 3)]
-    assert nakamoto.tally_rewards(blocks, 2) == [2.0, 1.0]
+    assert _tally("nakamoto", blocks) == [2.0, 1.0]
 
 
 def _heavy_draws(protocol):
@@ -50,7 +56,7 @@ def test_strongchain_reward_arithmetic():
     # still pending at the tip
     params = StrongchainParams(ratio=10)
     blocks = [Block(1, 0, 10, emb=[1, 1]), Block(2, 1, 22, emb=[0])]
-    rewards = strongchain.tally_rewards(blocks, [0, 1], params, 2)
+    rewards = _tally("strongchain", blocks, [0, 1], params=params)
     assert rewards == pytest.approx([1.2, 1.3])
     assert sum(rewards) == pytest.approx(2 + 5 * 0.1)
 
@@ -78,7 +84,7 @@ def test_fruitchain_reward_arithmetic():
         Block(1, 0, 10, emb=None),
         Block(2, 1, 21, emb=[(0, 1, 1)]),
     ]
-    rewards = fruitchain.tally_rewards(blocks, params, 3)
+    rewards = _tally("fruitchain", blocks, attackers=2, params=params)
     assert rewards == pytest.approx([1.1, 1.0, 0.0])
 
 
@@ -87,12 +93,13 @@ def test_orphaned_fruit_pays_nothing():
     # appear in any emb list, so its miner gets nothing for it
     params = balanced_fruit_params()
     blocks = [Block(1, 0, 10, emb=[])]
-    assert fruitchain.tally_rewards(blocks, params, 2) == [1.0, 0.0]
+    assert _tally("fruitchain", blocks, params=params) == [1.0, 0.0]
 
 
 def test_fruit_quantum_covers_block_plus_flush():
-    assert fruitchain.quantum_units(FruitchainParams(fruit_ratio=10)) == 20
-    assert fruitchain.quantum_units(FruitchainParams(fruit_ratio=4)) == 8
+    for fruit_ratio, quantum in ((10, 20), (4, 8)):
+        cfg = quick_config("fruitchain", protocol_params=FruitchainParams(fruit_ratio=fruit_ratio))
+        assert _Run(cfg, 0, collect_records=False).quantum_units == quantum
 
 
 def test_reward_split_presets():
@@ -100,7 +107,7 @@ def test_reward_split_presets():
     fruit_heavy = FruitchainParams(10, 10, 1.0, 1.0)
     for params, block_share in ((balanced_fruit_params(), 0.5), (fruit_heavy, 1 / 11)):
         fruits = [(1, 0, 0)] * params.fruit_ratio
-        rewards = fruitchain.tally_rewards([Block(1, 0, 20, emb=fruits)], params, 2)
+        rewards = _tally("fruitchain", [Block(1, 0, 20, emb=fruits)], params=params)
         assert rewards[0] / sum(rewards) == pytest.approx(block_share)
 
 
@@ -113,15 +120,11 @@ def test_tally_continues_from_a_prefix_total(monkeypatch, protocol):
     run.run()
     assert run.base == 0  # one chunk: nothing folded, the whole chain is live
     blocks = run.chain[1:]
-    params = run.config.protocol_params
-    n = run.n_miners
+    zero = run.folded
 
-    def tally(part, start=None, tip=()):
-        if protocol == "nakamoto":
-            return nakamoto.tally_rewards(part, n, start)
-        if protocol == "strongchain":
-            return strongchain.tally_rewards(part, tip, params, n, start)
-        return fruitchain.tally_rewards(part, params, n, start)
+    def tally(part, start=zero, tip=()):
+        run.folded = start
+        return run._tally(part, tip)
 
     whole = tally(blocks, tip=run.pending_wh)
     for k in (1, len(blocks) // 3, len(blocks) - 1):
