@@ -73,9 +73,8 @@ class EndCondition:
     def __post_init__(self):
         if (self.round_budget is None) == (self.target_height is None):
             raise ConfigError("end condition needs exactly one of round_budget, target_height")
-        limit = self.round_budget if self.round_budget is not None else self.target_height
-        if limit <= 0:
-            raise ConfigError("end condition limit must be positive")
+        name = "round_budget" if self.round_budget is not None else "target_height"
+        _check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -158,10 +157,12 @@ class SimulationConfig:
             raise ConfigError("at least one miner is required")
         _check_miner_count(len(miners))
         for i, m in enumerate(miners):
-            if m.id != i:
-                raise ConfigError(f"miner ids must be contiguous from 0, got {m.id} at position {i}")
-            if not (0.0 < m.power <= 1.0):
-                raise ConfigError(f"miner {m.id} power {m.power} outside (0, 1]")
+            if not is_int(m.id) or m.id != i:
+                raise ConfigError(f"miner ids must be integers from 0 up, got {m.id!r} at {i}")
+            if not is_number(m.power) or not 0.0 < m.power <= 1.0:
+                raise ConfigError(f"miner {i} power must be a number in (0, 1], got {m.power!r}")
+            if not isinstance(m.kind, MinerKind):
+                raise ConfigError(f"miner {i} kind must be a MinerKind, got {m.kind!r}")
         total = sum(m.power for m in miners)
         if abs(total - 1.0) > POWER_SUM_TOL:
             raise ConfigError(f"miner powers must sum to 1, got {total!r}")
@@ -169,13 +170,15 @@ class SimulationConfig:
         object.__setattr__(self, "protocol", proto)
         if self.gamma is None:
             gamma = default_gamma(proto, len(self.selfish_ids))
+        elif not is_number(self.gamma):
+            raise ConfigError(f"gamma must be a number, got {self.gamma!r}")
         else:
             gamma = float(self.gamma)
         if not (0.0 <= gamma <= 1.0):
             raise ConfigError(f"gamma {gamma} outside [0, 1]")
         object.__setattr__(self, "gamma", gamma)
-        if self.master_seed < 0:
-            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
+        if not is_int(self.master_seed) or self.master_seed < 0:
+            raise ConfigError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         cls = PROTOCOL_PARAMS.get(proto)
         params = self.protocol_params
         if cls is None:
@@ -238,8 +241,6 @@ def _attacker_config(protocol, powers, honest, gamma, rounds, master_seed, proto
     """Selfish miners at ``powers`` plus one aggregate honest miner at ``honest``."""
     if honest <= 0.0:
         raise ConfigError("attacker powers must leave honest power positive")
-    if not powers:
-        raise ConfigError("need at least one attacker")
     protocol = ProtocolName(protocol)
     miners = [MinerSpec(i, p, MinerKind.SELFISH) for i, p in enumerate(powers)]
     miners.append(MinerSpec(len(powers), honest, MinerKind.HONEST))
@@ -263,6 +264,7 @@ def symmetric_attacker_config(
     protocol_params: object = None,
 ) -> SimulationConfig:
     """k selfish miners at power ``alpha`` each plus one aggregate honest miner."""
+    _check_count("n_attackers", n_attackers)
     _check_miner_count(n_attackers + 1)  # before the power list is built
     honest = 1.0 - n_attackers * alpha
     return _attacker_config(

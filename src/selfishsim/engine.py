@@ -98,7 +98,6 @@ class Block:
 class Tie:
     """Equal-strength race: main line versus released alternatives."""
 
-    level: int  # the strength of the main line and of every released branch
     # Who the contested main-line suffix belongs to (HONEST_BRANCH or an
     # attacker id); it decides whether the propagation factor gamma or an
     # even split steers honest leaders' branch choice.
@@ -246,7 +245,7 @@ class _Run:
                 owner = tip.miner
             else:
                 owner = HONEST_BRANCH
-            self.tie = Tie(level=self.public_units, main_owner=owner, alts=[att])
+            self.tie = Tie(main_owner=owner, alts=[att])
         else:
             self.tie.alts.append(att)
 
@@ -291,12 +290,11 @@ class _Run:
         idx = min(int(u * n), n - 1)
         return None if idx == 0 else tie.alts[idx - 1]
 
-    def _settle_tie_after_main_change(self) -> None:
-        """Re-evaluate the open tie once the main line's strength moved."""
-        level = self.tie.level
-        if self.public_units > level:
+    def _settle_tie_after_main_change(self, advance: int) -> None:
+        """Re-evaluate the open tie once a main-line artifact moved its strength by ``advance``."""
+        if advance > 0:
             self._end_tie()
-        elif self.public_units < level:
+        else:
             # A main-line owner's strong block drops the other miners' weak
             # headers pending at the tip; more than ``ratio`` of them weaken
             # the main line, and the first released branch wins.
@@ -522,7 +520,7 @@ class _Run:
                 acts = ()
                 if advance:
                     if self.tie is not None:  # the main line moved; a branch's win closed the tie
-                        self._settle_tie_after_main_change()
+                        self._settle_tie_after_main_change(advance)
                     acts = cascade_release(attackers, self)
                 if collect:
                     moves = (() if own is None else ((leader, own),)) + tuple(acts)

@@ -23,6 +23,8 @@ from .config import (
     ConfigError,
     ProtocolName,
     SimulationConfig,
+    _check_count,
+    is_number,
     rival_attacker_config,
     symmetric_attacker_config,
 )
@@ -51,6 +53,10 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "protocol", ProtocolName(self.protocol))
+        for name in ("alpha_grid", "fixed_rivals"):
+            values = getattr(self, name)
+            if values is not None and not all(map(is_number, values)):
+                raise ConfigError(f"{name} must hold numbers, got {values!r}")
         grid = tuple(float(a) for a in self.alpha_grid)
         object.__setattr__(self, "alpha_grid", grid)
         if len(grid) < 1:
@@ -68,8 +74,7 @@ class SweepConfig:
             object.__setattr__(self, "fixed_rivals", rivals)
             if not rivals:
                 raise ConfigError("fixed_rivals must not be empty")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
+        _check_count("repeats", self.repeats)
         # The largest grid power leaves the least honest power, so its
         # config meets every power, gamma, params and rounds rule that
         # any grid point must; it also resolves the gamma and protocol
@@ -224,6 +229,8 @@ def threshold_search(cfg: SweepConfig, sweep=run_sweep) -> ThresholdEstimate:
     a SweepConfig to its revenue points in grid order; it runs both the
     grid and the one-point midpoint config.
     """
+    if len(cfg.alpha_grid) < 2:
+        raise ConfigError("a threshold search needs at least 2 alpha_grid points")
     estimate = estimate_threshold(sweep(cfg))
     if estimate.threshold is None:
         return estimate

@@ -2,11 +2,12 @@
 
 A JSON config describes either a single simulation (a ``miners`` list)
 or a power sweep (a ``sweep`` block).  The parser checks only the JSON
-shape: known and required keys, value types, enum names, and which keys
-go together.  It passes on only the keys a file sets, so an omitted knob
-takes the config class's own default; ranges, defaults and cross-field
-rules (powers, gamma, grid order, protocol parameters) belong to the
-config classes it builds, and every error names the config file once.
+shape: known and required keys, objects and lists, enum names, and
+which keys go together.  It passes on only the keys a file sets, so an
+omitted knob takes the config class's own default; every value's type
+and range, every default and every cross-field rule (powers, gamma,
+grid order, protocol parameters) belong to the config classes it
+builds, and every error names the config file once.
 
 Outputs are written under one directory: ``results.csv`` holds one row
 per (run, miner) with the ``ResultRow`` fields as columns,
@@ -26,6 +27,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from io import StringIO
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -38,8 +40,6 @@ from .config import (
     ProtocolName,
     SimulationConfig,
     config_digest,
-    is_int,
-    is_number,
 )
 from .engine import SimulationResult
 from .experiments import SweepConfig, ThresholdEstimate
@@ -144,27 +144,26 @@ _TOP_KEYS = (
     "end_condition",
 )
 
-_INT = ("an integer", is_int)
-_NUMBER = ("a number", is_number)
-_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(is_number, v)))
 _OBJECT = ("an object", lambda v: isinstance(v, dict))
+_LIST = ("a list", lambda v: isinstance(v, list))
 _OBJECTS = (
     "a list of objects",
     lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
 )
 
 
-def _value(obj: dict, key: str, kind, where: str = "", required: bool = False):
-    """``obj[key]`` checked against a JSON value kind.
+def _value(obj: dict, key: str, kind=None, where: str = "", required: bool = False):
+    """``obj[key]``, checked against a JSON shape when ``kind`` is given.
 
     An optional key that is absent or null gives None; a required key
-    must be present, and null fails its kind.
+    must be present, and null fails its shape.  The value's own type
+    and range are left to the config class that takes it.
     """
     if required and key not in obj:
         raise ConfigError(f"{where}missing required key '{key}'")
     v = obj.get(key)
-    if v is None and not required:
-        return None
+    if kind is None or (v is None and not required):
+        return v
     what, ok = kind
     if not ok(v):
         raise ConfigError(f"{where}key '{key}': expected {what}, got {v!r}")
@@ -172,14 +171,13 @@ def _value(obj: dict, key: str, kind, where: str = "", required: bool = False):
 
 
 def _enum(cls, obj: dict, key: str, where: str = ""):
-    if key not in obj:
-        raise ConfigError(f"{where}missing required key '{key}'")
+    name = _value(obj, key, where=where, required=True)
     try:
-        return cls(obj[key])
+        return cls(name)
     except ValueError:
         names = ", ".join(e.value for e in cls)
         raise ConfigError(
-            f"{where}key '{key}': unknown {key} {obj[key]!r} (expected one of {names})"
+            f"{where}key '{key}': unknown {key} {name!r} (expected one of {names})"
         ) from None
 
 
@@ -202,10 +200,10 @@ def _build(where: str, cls, **kwargs):
 def _given(obj: dict, spec) -> dict:
     """Keyword arguments for the keys of ``obj`` that ``spec`` names.
 
-    ``spec`` lists (key, keyword, kind) triples.  A key that is absent or
-    null is left out, so the config class's own default applies.
+    ``spec`` lists (key, keyword) pairs.  A key that is absent or null is
+    left out, so the config class's own default applies.
     """
-    return {name: _value(obj, key, kind) for key, name, kind in spec if obj.get(key) is not None}
+    return {name: obj[key] for key, name in spec if obj.get(key) is not None}
 
 
 def _parse_params(proto: ProtocolName, d: dict):
@@ -222,15 +220,14 @@ def _parse_miners(raw: dict) -> tuple:
     for i, m in enumerate(_value(raw, "miners", _OBJECTS)):
         where = f"key 'miners': entry {i}: "
         _known(m, ("id", "power", "kind"), where)
-        power = _value(m, "power", _NUMBER, where, required=True)
+        power = _value(m, "power", where=where, required=True)
         kind = _enum(MinerKind, m, "kind", where)
-        mid = _value(m, "id", _INT, where, required=True) if "id" in m else i
-        miners.append(MinerSpec(id=mid, power=float(power), kind=kind))
+        miners.append(MinerSpec(id=m.get("id", i), power=power, kind=kind))
     return tuple(miners)
 
 
 def _parse_end_condition(raw: dict) -> Optional[EndCondition]:
-    rounds = _value(raw, "rounds", _INT)
+    rounds = raw.get("rounds")
     ec = _value(raw, "end_condition", _OBJECT)
     if ec is None:
         if rounds is None:
@@ -243,8 +240,8 @@ def _parse_end_condition(raw: dict) -> Optional[EndCondition]:
     return _build(
         where,
         EndCondition,
-        round_budget=_value(ec, "round_budget", _INT, where),
-        target_height=_value(ec, "target_height", _INT, where),
+        round_budget=ec.get("round_budget"),
+        target_height=ec.get("target_height"),
     )
 
 
@@ -254,15 +251,15 @@ def _parse_sweep(proto: ProtocolName, raw: dict, knobs: dict) -> SweepConfig:
     where = "key 'sweep': "
     sw = _value(raw, "sweep", _OBJECT)
     _known(sw, ("alpha_grid", "attackers", "rivals"), where)
-    grid = _value(sw, "alpha_grid", _NUMBERS, where, required=True)
-    rivals = _value(sw, "rivals", _NUMBERS, where)
+    grid = _value(sw, "alpha_grid", _LIST, where, required=True)
+    rivals = _value(sw, "rivals", _LIST, where)
     return SweepConfig(
         protocol=proto,
         alpha_grid=tuple(grid),
-        symmetric_attackers=_value(sw, "attackers", _INT, where),
+        symmetric_attackers=sw.get("attackers"),
         fixed_rivals=None if rivals is None else tuple(rivals),
         **knobs,
-        **_given(raw, (("repeats", "repeats", _INT), ("rounds", "rounds", _INT))),
+        **_given(raw, (("repeats", "repeats"), ("rounds", "rounds"))),
     )
 
 
@@ -273,7 +270,7 @@ def _parse(raw) -> Union[SimulationConfig, SweepConfig]:
     proto = _enum(ProtocolName, raw, "protocol")
     if (raw.get("miners") is None) == (raw.get("sweep") is None):
         raise ConfigError("exactly one of keys 'miners' and 'sweep' is required")
-    knobs = _given(raw, (("gamma", "gamma", _NUMBER), ("seed", "master_seed", _INT)))
+    knobs = _given(raw, (("gamma", "gamma"), ("seed", "master_seed")))
     params = _value(raw, "protocol_params", _OBJECT)
     if params is not None:
         knobs["protocol_params"] = _parse_params(proto, params)
@@ -334,6 +331,14 @@ def _threshold_entry(est: ThresholdEstimate) -> dict:
     }
 
 
+def _csv(header, rows) -> str:
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def write_results(
     rows: Sequence[ResultRow],
     thresholds: Mapping[tuple, ThresholdEstimate],
@@ -346,61 +351,44 @@ def write_results(
     ``thresholds`` maps ``SweepConfig.key()`` tuples to estimates; each
     estimate's ``points`` become its plotdata/ curve.  Empty inputs still
     produce a header-only CSV and an empty threshold map, and no
-    plotdata/.  If any write fails, files created by this call are
-    removed before the error propagates.
+    plotdata/.  Every file is formatted before any is written; if a write
+    fails, files created by this call are removed before the error
+    propagates.
     """
     from . import __version__
+
+    series = [(*_series_names(k), est) for k, est in thresholds.items()]
+    payload = {name: _threshold_entry(est) for name, _, est in series}
+    texts = {
+        "results.csv": _csv(RESULT_COLUMNS, map(_row_values, rows)),
+        "thresholds.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    }
+    for _, stem, est in sorted(series, key=lambda s: s[1]):
+        texts[f"plotdata/{stem}.csv"] = _csv(
+            ("alpha", "mean_revenue", "fair_share"),
+            ((_fmt(p.alpha), _fmt(p.mean_revenue), _fmt(p.alpha)) for p in est.points),
+        )
+    manifest = RunManifest(
+        tool_version=__version__,
+        config_digest=digest,
+        master_seed=master_seed,
+        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        outputs=(*texts, "manifest.json"),
+    )
+    texts["manifest.json"] = json.dumps(asdict(manifest), indent=2) + "\n"
 
     out = Path(out_dir)
     created: list = []
     made_dirs: list = []
-
-    def _creating(p: Path) -> Path:
-        created.append(p)
-        return p
-
     try:
-        if not out.exists():
-            out.mkdir(parents=True)
-            made_dirs.append(out)
-
-        csv_path = _creating(out / "results.csv")
-        with csv_path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RESULT_COLUMNS)
-            for row in rows:
-                writer.writerow(_row_values(row))
-
-        series = [(*_series_names(k), est) for k, est in thresholds.items()]
-        thr_path = _creating(out / "thresholds.json")
-        payload = {name: _threshold_entry(est) for name, _, est in series}
-        thr_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
-        outputs = ["results.csv", "thresholds.json"]
-        plot_dir = out / "plotdata"
-        if series and not plot_dir.exists():
-            plot_dir.mkdir()
-            made_dirs.append(plot_dir)
-        for _, stem, est in sorted(series, key=lambda s: s[1]):
-            fpath = _creating(plot_dir / f"{stem}.csv")
-            with fpath.open("w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(("alpha", "mean_revenue", "fair_share"))
-                for p in est.points:
-                    writer.writerow((_fmt(p.alpha), _fmt(p.mean_revenue), _fmt(p.alpha)))
-            outputs.append(f"plotdata/{stem}.csv")
-
-        manifest = RunManifest(
-            tool_version=__version__,
-            config_digest=digest,
-            master_seed=master_seed,
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            outputs=tuple(outputs + ["manifest.json"]),
-        )
-        man_path = _creating(out / "manifest.json")
-        man_path.write_text(json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
+        for d in dict.fromkeys((out / name).parent for name in texts):
+            if not d.exists():
+                d.mkdir(parents=True)
+                made_dirs.append(d)
+        for name, text in texts.items():
+            path = out / name
+            created.append(path)
+            path.write_text(text, encoding="utf-8", newline="")
         return manifest
     except BaseException:
         for p in created:

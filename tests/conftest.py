@@ -31,7 +31,7 @@ def tie_branch_shares(gamma, n_alts, main_owner=HONEST_BRANCH, draws=20_000, see
     """
     cfg = quick_config("nakamoto", alpha=0.1, gamma=gamma, attackers=n_alts + 1)
     run = _Run(cfg, 0, collect_records=False)
-    run.tie = Tie(level=0, main_owner=main_owner, alts=run.attackers[:n_alts])
+    run.tie = Tie(main_owner=main_owner, alts=run.attackers[:n_alts])
     counts = [0] * (1 + n_alts)
     for u in stream_uniforms(seed, draws).tolist():
         alt = run._choose_tie_branch(u)

@@ -126,6 +126,26 @@ def test_verb_config_mismatch_is_a_usage_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_one_point_sweep_is_a_config_error_before_any_run(tmp_path, capsys):
+    payload = dict(SWEEP, sweep={"alpha_grid": [0.3], "attackers": 1})
+    out_dir = tmp_path / "one"
+    rc = cli.main(["sweep", "--config", _cfg_file(tmp_path, payload), "--out", str(out_dir)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out_dir.exists()
+
+
+def test_integer_power_writes_the_same_results(tmp_path):
+    outs = []
+    for power in (1, 1.0):
+        payload = dict(SIM, miners=[{"power": power, "kind": "honest"}])
+        outs.append(tmp_path / f"p{power}")
+        cfg = _cfg_file(tmp_path, payload, name=f"p{power}.json")
+        assert cli.main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
+    a, b = ((out / "results.csv").read_bytes() for out in outs)
+    assert a == b
+
+
 def test_config_error_reports_json_on_stderr(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(tmp_path / "absent.json")])
     err = capsys.readouterr().err

@@ -20,6 +20,7 @@ from selfishsim.config import (
     rival_attacker_config,
     symmetric_attacker_config,
 )
+from selfishsim.experiments import SweepConfig
 
 
 def _miners(*powers, selfish=()):
@@ -190,3 +191,43 @@ def test_digest_is_pinned():
         6541438617403619312,
         5069709593959087871,
     ]
+
+
+NAKAMOTO = ProtocolName.NAKAMOTO
+
+
+def _sweep(**knobs):
+    base = dict(protocol=NAKAMOTO, alpha_grid=(0.2, 0.3), symmetric_attackers=1)
+    return SweepConfig(**{**base, **knobs})
+
+
+def _with_miner(**field):
+    miner = dataclasses.replace(MinerSpec(0, 0.5, MinerKind.SELFISH), **field)
+    return SimulationConfig(NAKAMOTO, (miner, MinerSpec(1, 0.5, MinerKind.HONEST)))
+
+
+@pytest.mark.parametrize(
+    "build,name,bad",
+    [
+        (lambda v: symmetric_attacker_config(NAKAMOTO, 1, 0.3, rounds=v), "round_budget", 1e4),
+        (lambda v: symmetric_attacker_config(NAKAMOTO, 1, 0.3, rounds=v), "round_budget", 1.5),
+        (lambda v: symmetric_attacker_config(NAKAMOTO, 1, 0.3, rounds=v), "round_budget", True),
+        (lambda v: _sweep(repeats=v), "repeats", 2.5),
+        (lambda v: _sweep(symmetric_attackers=v), "n_attackers", True),
+        (lambda v: _sweep(symmetric_attackers=v), "n_attackers", 2.0),
+        (lambda v: _sweep(master_seed=v), "master_seed", 1.5),
+        (lambda v: symmetric_attacker_config(NAKAMOTO, 1, 0.3, gamma=v), "gamma", "0.5"),
+        (lambda v: _with_miner(power=v), "power", "0.5"),
+        (lambda v: _with_miner(id=v), "ids", 0.0),
+        (lambda v: _with_miner(kind=v), "kind", "selfish"),
+        (lambda v: _sweep(alpha_grid=v), "alpha_grid", (0.2, "0.3")),
+        (lambda v: _sweep(symmetric_attackers=None, fixed_rivals=v), "fixed_rivals", ("0.4",)),
+    ],
+)
+def test_library_configs_check_value_types(build, name, bad):
+    # A library caller gets the same type rules as a config file: a float
+    # count would hash a different run seed, a string power or a plain
+    # string kind would simulate something other than what was asked.
+    with pytest.raises(ConfigError, match=name) as err:
+        build(bad)
+    assert repr(bad) in str(err.value)

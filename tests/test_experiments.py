@@ -155,6 +155,18 @@ def test_threshold_search_keeps_a_grid_estimate_with_no_interior_bracket(means, 
     assert est.threshold == threshold
 
 
+def test_threshold_search_refuses_a_one_point_grid_before_sweeping():
+    calls = []
+
+    def sweep(cfg):
+        calls.append(cfg)
+        return run_sweep(cfg)
+
+    with pytest.raises(ConfigError, match="at least 2"):
+        threshold_search(_tiny_sweep(grid=(0.3,)), sweep)
+    assert calls == []
+
+
 def test_sweep_config_validation():
     with pytest.raises(ConfigError):
         _tiny_sweep(grid=())

@@ -138,6 +138,11 @@ def test_parse_target_height(tmp_path):
          "fruit_reward must be a number"),
         (lambda d: d.update(protocol="fruitchain", protocol_params={"block_reward": "x"}),
          "block_reward must be a number"),
+        (lambda d: d.update(rounds=1.5), "rounds.*integer"),
+        (lambda d: d.update(seed=1.5), r"integer.*1\.5"),
+        (lambda d: d.update(gamma="0.5"), "a number, got '0.5'"),
+        (lambda d: d["miners"][0].update(power="x"), "a number.*got 'x'"),
+        (lambda d: d["miners"][0].update(id=1.5), r"integer.*1\.5"),
     ],
 )
 def test_parse_simulation_errors(tmp_path, mutate, needle):
@@ -161,6 +166,10 @@ def test_parse_simulation_errors(tmp_path, mutate, needle):
         (lambda d: d.update(repeats=0), "repeats"),
         (lambda d: d["sweep"].update(alpha_grid=[0.3, 0.2]), "ascending"),
         (lambda d: d["sweep"].update(alpha_grid=[1e-6], attackers=100_000), "at most 1000 miners"),
+        (lambda d: d.update(repeats=2.5), "repeats.*integer"),
+        (lambda d: d["sweep"].update(attackers=True), "integer, got True"),
+        (lambda d: d["sweep"].update(alpha_grid=["x"]), "alpha_grid.*numbers"),
+        (lambda d: d["sweep"].update(attackers=None, rivals=[True]), "rivals.*numbers"),
     ],
 )
 def test_parse_sweep_errors(tmp_path, mutate, needle):
@@ -246,8 +255,9 @@ def test_rival_threshold_key_round_trip(tmp_path):
 
 def test_csv_golden_header_and_line_endings(tmp_path):
     write_results(_sample_rows(), {}, tmp_path / "out", master_seed=5)
+    for name in ("results.csv", "thresholds.json", "manifest.json"):
+        assert b"\r" not in (tmp_path / "out" / name).read_bytes()
     raw = (tmp_path / "out" / "results.csv").read_bytes()
-    assert b"\r" not in raw
     text = raw.decode("utf-8")
     assert text.splitlines()[0] == HEADER
     assert HEADER == ",".join(RESULT_COLUMNS)
