@@ -38,6 +38,12 @@ def _check_count(name: str, v) -> None:
         raise ConfigError(f"{name} must be >= 1, got {v}")
 
 
+def _check_powers(powers) -> None:
+    for p in powers:  # before a builder does arithmetic on them
+        if not is_number(p):
+            raise ConfigError(f"attacker power must be a number, got {p!r}")
+
+
 class MinerKind(str, Enum):
     HONEST = "honest"
     SELFISH = "selfish"
@@ -166,7 +172,10 @@ class SimulationConfig:
         total = sum(m.power for m in miners)
         if abs(total - 1.0) > POWER_SUM_TOL:
             raise ConfigError(f"miner powers must sum to 1, got {total!r}")
-        proto = ProtocolName(self.protocol)
+        try:
+            proto = ProtocolName(self.protocol)
+        except ValueError:
+            raise ConfigError(f"unknown protocol {self.protocol!r}; known: {', '.join(ProtocolName)}") from None
         object.__setattr__(self, "protocol", proto)
         if self.gamma is None:
             gamma = default_gamma(proto, len(self.selfish_ids))
@@ -189,6 +198,8 @@ class SimulationConfig:
         elif not isinstance(params, cls):
             raise ConfigError(f"{proto.value} runs need {cls.__name__}")
         object.__setattr__(self, "protocol_params", params)
+        if not isinstance(self.end_condition, EndCondition):
+            raise ConfigError(f"end_condition must be an EndCondition, got {self.end_condition!r}")
         if self.end_condition.target_height is not None and proto is not ProtocolName.FRUITCHAIN:
             raise ConfigError("target_height end condition is only supported for fruitchain")
 
@@ -241,7 +252,6 @@ def _attacker_config(protocol, powers, honest, gamma, rounds, master_seed, proto
     """Selfish miners at ``powers`` plus one aggregate honest miner at ``honest``."""
     if honest <= 0.0:
         raise ConfigError("attacker powers must leave honest power positive")
-    protocol = ProtocolName(protocol)
     miners = [MinerSpec(i, p, MinerKind.SELFISH) for i, p in enumerate(powers)]
     miners.append(MinerSpec(len(powers), honest, MinerKind.HONEST))
     return SimulationConfig(
@@ -266,6 +276,7 @@ def symmetric_attacker_config(
     """k selfish miners at power ``alpha`` each plus one aggregate honest miner."""
     _check_count("n_attackers", n_attackers)
     _check_miner_count(n_attackers + 1)  # before the power list is built
+    _check_powers((alpha,))
     honest = 1.0 - n_attackers * alpha
     return _attacker_config(
         protocol, [alpha] * n_attackers, honest, gamma, rounds, master_seed, protocol_params
@@ -283,6 +294,7 @@ def rival_attacker_config(
 ) -> SimulationConfig:
     """Attacker of interest at ``alpha_1`` with fixed-power selfish rivals."""
     powers = [alpha_1, *rival_powers]
+    _check_powers(powers)
     return _attacker_config(
         protocol, powers, 1.0 - sum(powers), gamma, rounds, master_seed, protocol_params
     )

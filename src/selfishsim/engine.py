@@ -31,6 +31,14 @@ release can replace them, and a fruit pointing below ``base`` is stale for
 every block to come.  Folding tallies in chain order, so each miner's float
 sum gets its terms in the same order and rewards stay bit-identical.
 
+A block is a plain tuple ``(bid, miner, cum, emb)`` read through ``BID``,
+``MINER``, ``CUM`` and ``EMB``: every nakamoto round builds one, and a tuple
+costs a fraction of a class instance's ``__init__``.  ``cum`` is the
+strength in units through the block, embedded artifacts included; ``emb``
+holds embedded weak headers as a tuple of miner ids, embedded fruits as a
+list of (miner, pointer bid, pointer height), so a reorg can tell which stay
+mineable.
+
 Determinism: a run is a pure function of (config, master seed, run index).
 All draws come from the documented counter-based stream in rng.py, three
 lanes per round: leader, artifact kind, tie branch choice.  The run draws
@@ -41,7 +49,8 @@ long the run is, and the draws are those of one whole-run stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -49,7 +58,6 @@ import numpy as np
 from . import fruitchain, strongchain
 from .config import (
     FruitchainParams,
-    MinerKind,
     ProtocolName,
     SimulationConfig,
     StrongchainParams,
@@ -65,6 +73,9 @@ from .strategy import HONEST_BRANCH, OVERRIDE, WAIT, AttackerState, cascade_rele
 # 12-18 MB and run slower.
 CHUNK = 1 << 12
 
+# Indices of a block tuple (see the module docstring).
+BID, MINER, CUM, EMB = range(4)
+
 # Record name of a round's (light, heavy) artifact.
 KIND_NAMES = {
     ProtocolName.NAKAMOTO: ("block", "block"),
@@ -73,39 +84,19 @@ KIND_NAMES = {
 }
 
 
-class Block:
-    """One canonical-chain entry.
-
-    ``cum`` is the cumulative strength in units through this block, counting
-    artifacts embedded in it; ``emb`` holds embedded weak headers as a tuple
-    of miner ids, embedded fruits as a list of (miner, pointer bid, pointer
-    height) so a reorg can tell which of them stay mineable.
-    """
-
-    __slots__ = ("bid", "miner", "cum", "emb")
-
-    def __init__(self, bid: int, miner: int, cum: int, emb=None):
-        self.bid = bid
-        self.miner = miner
-        self.cum = cum
-        self.emb = emb
-
-    def __repr__(self):  # debugging aid only
-        return f"Block(bid={self.bid}, miner={self.miner}, cum={self.cum})"
-
-
-@dataclass
 class Tie:
     """Equal-strength race: main line versus released alternatives."""
 
-    # Who the contested main-line suffix belongs to (HONEST_BRANCH or an
-    # attacker id); it decides whether the propagation factor gamma or an
-    # even split steers honest leaders' branch choice.
-    main_owner: object
-    alts: list  # the matched AttackerStates, whose branches race, in match order
-    # Owner id -> honest fruits (miner, pointer bid, pointer height) that
-    # point into that owner's released branch; they go public if it wins.
-    fruits: dict = field(default_factory=dict)
+    __slots__ = ("main_owner", "alts", "fruits")
+
+    def __init__(self, main_owner, alts: list):
+        # Who owns the contested main-line suffix (HONEST_BRANCH or an attacker
+        # id) decides whether gamma or an even split steers honest leaders.
+        self.main_owner = main_owner
+        self.alts = alts  # the matched AttackerStates, whose branches race, in match order
+        # Owner id -> honest fruits (miner, pointer bid, pointer height) that
+        # point into that owner's released branch; they go public if it wins.
+        self.fruits = {}
 
 
 @dataclass
@@ -142,15 +133,9 @@ class _Run:
         self.gamma = config.gamma
         n = len(config.miners)
         self.n_miners = n
-        self.selfish = [m.kind is MinerKind.SELFISH for m in config.miners]
 
-        cum = []
-        acc = 0.0
-        for m in config.miners:
-            acc += m.power
-            cum.append(acc)
+        cum = self.cum_powers = np.fromiter(accumulate(m.power for m in config.miners), float)
         cum[-1] = 1.0  # lane 0 stays below 1.0, so searchsorted never passes the last miner
-        self.cum_powers = cum
 
         self.fruit = self.proto is ProtocolName.FRUITCHAIN
         if self.fruit:
@@ -175,7 +160,7 @@ class _Run:
             self.ratio = self.quantum_units = 1
             self.p_heavy = 1.0
 
-        self.chain = [Block(0, -1, 0)]  # genesis sentinel, then the block at height base
+        self.chain = [(0, -1, 0, None)]  # genesis sentinel, then the block at height base
         self.base = 0
         self.folded = [0.0] * n  # rewards of the blocks at heights 1..base
         self.next_bid = 1
@@ -184,14 +169,11 @@ class _Run:
         self.pending_fruits = []  # (miner, pointer bid, pointer height), published
         self.tie: Optional[Tie] = None
         self.attackers = [AttackerState(i) for i in config.selfish_ids]
-        self.att_by_id = {a.id: a for a in self.attackers}
+        self.att_of = [None] * n  # miner id -> its AttackerState, None for an honest miner
+        for a in self.attackers:
+            self.att_of[a.id] = a
 
     # -- chain view used by strategy.cascade_release ---------------------
-
-    def _canonical(self, bid: int, height: int) -> bool:
-        """True when block ``bid`` is the live canonical block at ``height``."""
-        i = height - self.base
-        return 0 <= i < len(self.chain) and self.chain[i].bid == bid
 
     def public_units_from(self, att: AttackerState) -> Optional[int]:
         """Public strength past the attacker's anchor; None once a release orphaned it."""
@@ -199,8 +181,8 @@ class _Run:
         chain = self.chain
         if 0 <= i < len(chain):
             anchor = chain[i]
-            if anchor.bid == att.anchor_bid:
-                return self.public_units - anchor.cum
+            if anchor[BID] == att.anchor_bid:
+                return self.public_units - anchor[CUM]
         return None
 
     def do_adopt(self, att: AttackerState) -> None:
@@ -229,23 +211,25 @@ class _Run:
         del chain[cut:]
         chain.extend(att.blocks)
         self.pending_wh = pend_wh
-        self.pending_fruits = [f for f in self.pending_fruits if f[2] <= anchor] + pend_fruits
-        if dead:
-            self._reclaim_embedded(self.pending_fruits, dead)
-        self.public_units = chain[-1].cum + len(pend_wh)
+        if self.fruit:  # the header path's public fruit pool stays empty
+            self.pending_fruits = [f for f in self.pending_fruits if f[2] <= anchor] + pend_fruits
+            if dead:
+                self._reclaim_embedded(self.pending_fruits, dead)
+        self.public_units = chain[-1][CUM] + len(pend_wh)
         att.reset()
 
     def do_match(self, att: AttackerState) -> None:
         """Release the branch next to the equal-strength main line."""
         att.in_match = True
         if self.tie is None:
-            tip = self.chain[-1]
-            above_anchor = self.base + len(self.chain) - 1 > att.anchor_index
-            if above_anchor and self.selfish[tip.miner]:
-                owner = tip.miner
+            chain = self.chain
+            tip_miner = chain[-1][MINER]
+            above_anchor = self.base + len(chain) - 1 > att.anchor_index
+            if above_anchor and self.att_of[tip_miner] is not None:
+                owner = tip_miner
             else:
                 owner = HONEST_BRANCH
-            self.tie = Tie(main_owner=owner, alts=[att])
+            self.tie = Tie(owner, [att])
         else:
             self.tie.alts.append(att)
 
@@ -258,10 +242,12 @@ class _Run:
         the attacker's own.  Fruits pointing into the dropped blocks die
         with them.
         """
-        canonical = self._canonical
-        for b in dead_blocks:
-            if b.emb:
-                pool.extend(f for f in b.emb if canonical(f[1], f[2]))
+        chain, base, n = self.chain, self.base, len(self.chain)
+        for _, _, _, emb in dead_blocks:  # a fruit-path block's emb is a list
+            for f in emb:  # alive: the canonical block at its pointer height
+                i = f[2] - base
+                if 0 <= i < n and chain[i][BID] == f[1]:
+                    pool.append(f)
 
     # -- tie helpers ------------------------------------------------------
 
@@ -315,22 +301,24 @@ class _Run:
         if self.fruit:
             holder = self if att is None else att  # whose fruit pool the block draws on
             if not heavy:
-                holder.pending_fruits.append((miner, tip.bid, self.base + len(chain) - 1))
+                holder.pending_fruits.append((miner, tip[BID], self.base + len(chain) - 1))
                 return 0
             # The branch is the live chain above the folded blocks.
             emb = self._embeddable(holder.pending_fruits, self.base - 1, chain)[0]
             holder.pending_fruits = []
-            cum = tip.cum + self.fruit_ratio + len(emb)
+            cum = tip[CUM] + self.fruit_ratio + len(emb)
         elif heavy:
             pend = self.pending_wh
-            emb = tuple(pend) if att is None else tuple(m for m in pend if m == miner)
-            pend.clear()
-            cum = tip.cum + self.ratio + len(emb)
+            emb = ()
+            if pend:
+                emb = tuple(pend) if att is None else tuple(m for m in pend if m == miner)
+                pend.clear()
+            cum = tip[CUM] + self.ratio + len(emb)
         else:
             self.pending_wh.append(miner)
             self.public_units += 1
             return 1
-        chain.append(Block(self.next_bid, miner, cum, emb))
+        chain.append((self.next_bid, miner, cum, emb))
         self.next_bid += 1
         advance = cum - self.public_units
         self.public_units = cum
@@ -347,14 +335,14 @@ class _Run:
         """
         height = anchor + len(blocks) + 1  # of the new block
         window = self.window
-        canonical = self._canonical
+        chain, base, n = self.chain, self.base, len(self.chain)
         emb = []
         left = []
         for f in pool:
             ph = f[2]
             if height - ph <= window and (
-                canonical(f[1], ph) if ph <= anchor
-                else ph < height and blocks[ph - anchor - 1].bid == f[1]
+                0 <= ph - base < n and chain[ph - base][BID] == f[1] if ph <= anchor
+                else ph < height and blocks[ph - anchor - 1][BID] == f[1]
             ):
                 emb.append(f)
             else:
@@ -363,23 +351,22 @@ class _Run:
 
     def _mine_private(self, att: AttackerState, heavy: bool) -> int:
         """Artifact on the attacker's own branch; returns its strength gain."""
-        chain = self.chain
         blocks = att.blocks
         if self.fruit and not heavy:
             if blocks:
-                att.pending_fruits.append((att.id, blocks[-1].bid, att.anchor_index + len(blocks)))
+                att.pending_fruits.append((att.id, blocks[-1][BID], att.anchor_index + len(blocks)))
             else:
-                att.pending_fruits.append((att.id, chain[-1].bid, self.base + len(chain) - 1))
+                att.pending_fruits.append((att.id, self.chain[-1][BID], self.base + len(self.chain) - 1))
             return 0
         if att.anchor_index < 0:
-            att.anchor_index = self.base + len(chain) - 1
-            att.anchor_bid = chain[-1].bid
+            att.anchor_index = self.base + len(self.chain) - 1
+            att.anchor_bid = self.chain[-1][BID]
         if not heavy:
             att.pending_count += 1
             att.units += 1
             return 1
         anchor = att.anchor_index
-        parent_cum = blocks[-1].cum if blocks else chain[anchor - self.base].cum
+        parent_cum = blocks[-1][CUM] if blocks else self.chain[anchor - self.base][CUM]
         if self.fruit:
             emb = self._embeddable(att.pending_fruits, anchor, blocks)[0]
             att.pending_fruits = []
@@ -391,7 +378,7 @@ class _Run:
             att.pending_count = 0
             gain = self.ratio
             cum = parent_cum + gain + len(emb)
-        blocks.append(Block(self.next_bid, att.id, cum, emb))
+        blocks.append((self.next_bid, att.id, cum, emb))
         self.next_bid += 1
         att.units += gain
         return gain
@@ -409,14 +396,14 @@ class _Run:
             return self._mine_main(miner, heavy)
         anchor, blocks = att.anchor_index, att.blocks
         if not heavy:
-            self.tie.fruits.setdefault(att.id, []).append((miner, blocks[-1].bid, anchor + len(blocks)))
+            self.tie.fruits.setdefault(att.id, []).append((miner, blocks[-1][BID], anchor + len(blocks)))
             return 0
         # The public fruits left behind stay public; the release below drops
         # those that point into the replaced main-line suffix.
         emb, self.pending_fruits = self._embeddable(self.pending_fruits, anchor, blocks)
         emb += self._embeddable(self.tie.fruits.pop(att.id, ()), anchor, blocks)[0]
         gain = self.fruit_ratio + len(emb)
-        blocks.append(Block(self.next_bid, miner, blocks[-1].cum + gain, emb))
+        blocks.append((self.next_bid, miner, blocks[-1][CUM] + gain, emb))
         self.next_bid += 1
         self.do_override(att)
         return gain
@@ -477,8 +464,7 @@ class _Run:
 
         p_heavy = self.p_heavy
         cum_powers = self.cum_powers
-        selfish = self.selfish
-        att_by_id = self.att_by_id
+        att_of = self.att_of
         attackers = self.attackers
         collect = self.collect
         kind_names = KIND_NAMES[self.proto]
@@ -492,12 +478,12 @@ class _Run:
             lanes = RoundLanes(lane_seed(run_seed, first), n)
             leaders = np.searchsorted(cum_powers, lanes.leader, side="right").tolist()
             heavies = (lanes.kind < p_heavy).tolist()
-            lane_tie = lanes.tie.tolist()
+            lane_tie = lanes.tie  # read only by an honest leader during a tie
             for leader, heavy in zip(leaders, heavies):
                 tie = self.tie
                 own = None  # the leader's own move, as recorded
-                if selfish[leader]:
-                    att = att_by_id[leader]
+                att = att_of[leader]
+                if att is not None:
                     if att.in_match:
                         advance = self._mine_private(att, heavy)
                         if advance:  # the first strength gain wins the tie
@@ -511,7 +497,7 @@ class _Run:
                         advance = 0
                         own = WAIT
                 else:
-                    alt = None if tie is None else self._choose_tie_branch(lane_tie[i - first])
+                    alt = None if tie is None else self._choose_tie_branch(float(lane_tie[i - first]))
                     if alt is None:
                         advance = self._mine_main(leader, heavy)
                     else:
@@ -521,7 +507,10 @@ class _Run:
                 if advance:
                     if self.tie is not None:  # the main line moved; a branch's win closed the tie
                         self._settle_tie_after_main_change(advance)
-                    acts = cascade_release(attackers, self)
+                    for a in attackers:  # the cascade has nothing to do while all float
+                        if a.anchor_index >= 0:
+                            acts = cascade_release(attackers, self)
+                            break
                 if collect:
                     moves = (() if own is None else ((leader, own),)) + tuple(acts)
                     self.records.append(RoundRecord(i, leader, kind_names[heavy], moves))

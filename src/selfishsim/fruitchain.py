@@ -21,10 +21,11 @@ def tally_rewards(blocks, params: FruitchainParams, start) -> list:
     Embedded entries are (miner, pointer bid, pointer height) so a reorg
     can tell which fruits stay re-embeddable.
     """
+    block_reward, fruit_reward = params.block_reward, params.fruit_reward
     rewards = list(start)
-    for b in blocks:
-        rewards[b.miner] += params.block_reward
-        if b.emb:
-            for f in b.emb:
-                rewards[f[0]] += params.fruit_reward
+    for _, miner, _, emb in blocks:
+        rewards[miner] += block_reward
+        if emb:
+            for f in emb:
+                rewards[f[0]] += fruit_reward
     return rewards

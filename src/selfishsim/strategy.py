@@ -101,31 +101,34 @@ def cascade_release(attackers, chain) -> list:
     Attackers are scanned in ascending withheld-strength order (id breaks
     ties) so that a weaker release happens first and a stronger rival can
     override it, as in chained-override races.  Adopts only mutate attacker
-    state; an override or match changes the public chain and restarts the
-    scan.  An attacker whose anchor a release orphaned adopts, however
-    strong its branch.  When no attacker withholds, the call returns at once
-    without reading ``chain``.  ``chain`` supplies the protocol view:
-    ``public_units_from(att)``, the public strength past the attacker's
-    anchor or None once that anchor is orphaned, the override quantum and
-    the three state mutations.  The engine settles a run with one more call
-    whose quantum is unbounded, so every branch ahead of the public chain
-    from a live anchor is published.  Returns the executed actions as
-    (attacker id, Action) pairs.
+    state.  A match moves no public strength and no anchor, so the scan
+    continues past it; only an override changes the public chain, and it
+    restarts the scan.  An attacker whose anchor a release orphaned adopts,
+    however strong its branch.  When no attacker withholds, the call
+    returns at once without reading ``chain``; mid-run the engine does not
+    call it then, but settlement does.  ``chain`` supplies the protocol
+    view: ``public_units_from(att)``, the public strength past the
+    attacker's anchor or None once that anchor is orphaned, the override
+    quantum and the three state mutations.  The engine settles a run with
+    one more call whose quantum is unbounded, so every branch ahead of the
+    public chain from a live anchor is published.  Returns the executed
+    actions as (attacker id, Action) pairs.
 
-    The loop is bounded: every public change consumes withheld strength or
-    a one-shot match, so more than ``2 * len(attackers) + 2`` restarts mark
-    an internal error.
+    The loop is bounded: every override consumes withheld strength, so
+    more than ``2 * len(attackers) + 2`` restarts mark an internal error.
     """
     actions = []
     restarts = 0
     limit = 2 * len(attackers) + 2
     while True:
-        held = [a for a in attackers if a.anchor_index >= 0]
+        held = []
+        for a in attackers:
+            if a.anchor_index >= 0:
+                held.append(a)
         if not held:
             return actions
         if len(held) > 1:
             held.sort(key=_SCAN_ORDER)
-        changed = False
         for att in held:
             public_units = chain.public_units_from(att)
             if public_units is None:
@@ -140,16 +143,11 @@ def cascade_release(attackers, chain) -> list:
             elif verdict is OVERRIDE:
                 chain.do_override(att)
                 actions.append((att.id, OVERRIDE))
-                changed = True
                 break
-            elif verdict is MATCH:
-                if att.in_match:
-                    continue
+            elif verdict is MATCH and not att.in_match:
                 chain.do_match(att)
                 actions.append((att.id, MATCH))
-                changed = True
-                break
-        if not changed:
+        else:
             return actions
         restarts += 1
         if restarts > limit:

@@ -15,10 +15,10 @@ def tally_rewards(blocks, tip_pending, ratio: int, start) -> list:
     """``start`` plus the rewards of ``blocks`` and the weak headers pending at their tip."""
     per_weak = 1.0 / ratio
     rewards = list(start)
-    for b in blocks:
-        rewards[b.miner] += 1.0
-        if b.emb:
-            for m in b.emb:
+    for _, miner, _, emb in blocks:
+        rewards[miner] += 1.0
+        if emb:
+            for m in emb:
                 rewards[m] += per_weak
     for m in tip_pending:
         rewards[m] += per_weak

@@ -231,3 +231,39 @@ def test_library_configs_check_value_types(build, name, bad):
     with pytest.raises(ConfigError, match=name) as err:
         build(bad)
     assert repr(bad) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "build,bad",
+    [
+        (lambda: symmetric_attacker_config(NAKAMOTO, 1, "0.3"), "0.3"),
+        (lambda: symmetric_attacker_config(NAKAMOTO, 2, "0.3"), "0.3"),  # 2 * "0.3" is "0.30.3"
+        (lambda: rival_attacker_config(NAKAMOTO, 0.1, ("0.4",)), "0.4"),
+    ],
+)
+def test_builders_check_powers_before_any_arithmetic(build, bad):
+    with pytest.raises(ConfigError, match="power") as err:
+        build()
+    assert repr(bad) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SimulationConfig("bitcoin", _miners(1.0)),
+        lambda: symmetric_attacker_config("bitcoin", 1, 0.3),
+    ],
+)
+def test_unknown_protocol_is_a_config_error(build):
+    with pytest.raises(ConfigError) as err:
+        build()
+    message = str(err.value)
+    assert "'bitcoin'" in message
+    assert all(p.value in message for p in ProtocolName)
+
+
+@pytest.mark.parametrize("end", [None, 100, {"round_budget": 100}])
+def test_end_condition_must_be_an_end_condition(end):
+    with pytest.raises(ConfigError, match="end_condition") as err:
+        SimulationConfig(NAKAMOTO, _miners(0.5, 0.5), end_condition=end)
+    assert repr(end) in str(err.value)

@@ -19,7 +19,7 @@ from selfishsim.config import (
     SimulationConfig,
     rival_attacker_config,
 )
-from selfishsim.engine import Block, _Run, run_simulation
+from selfishsim.engine import BID, _Run, run_simulation
 from selfishsim.rng import stream_uniforms
 from selfishsim.strategy import ADOPT, OVERRIDE, cascade_release
 
@@ -243,6 +243,26 @@ def test_pinned_runs_reach_every_tie_path(pinned_runs):
     assert fruit == every
 
 
+@pytest.mark.parametrize("protocol", ["nakamoto", "strongchain", "fruitchain"])
+@pytest.mark.parametrize("attackers", [1, 3])
+def test_cascade_runs_only_while_an_attacker_withholds(monkeypatch, protocol, attackers):
+    cfg = quick_config(protocol, alpha=0.2, rounds=3000, seed=28, attackers=attackers)
+    plain = run_simulation(cfg, collect_records=True)
+    mid_run = []
+
+    def withholding_only(states, chain):
+        if chain.quantum_units != float("inf"):  # settlement calls whoever withholds
+            assert any(not a.floating for a in states)
+            mid_run.append(chain)
+        return cascade_release(states, chain)
+
+    monkeypatch.setattr(engine, "cascade_release", withholding_only)
+    wrapped = run_simulation(cfg, collect_records=True)
+    assert mid_run
+    assert _record_digest(wrapped.records) == _record_digest(plain.records)
+    assert wrapped.rewards == plain.rewards
+
+
 def test_multi_attacker_run_completes_under_pressure():
     # five attackers just below the runaway boundary exercise ties,
     # overrides and the end-of-run settlement together
@@ -405,14 +425,14 @@ def test_folding_keeps_an_anchor_held_across_folds(monkeypatch, protocol, gamma)
 def test_fold_stops_at_the_lowest_live_anchor(protocol):
     # A bare public chain of 60 honest blocks over genesis.
     run = _Run(quick_config(protocol, alpha=0.1, attackers=3), 0, collect_records=False)
-    run.chain = [Block(0, -1, 0)] + [Block(h, 3, h) for h in range(1, 61)]
+    run.chain = [(0, -1, 0, None)] + [(h, 3, h, None) for h in range(1, 61)]
     run.public_units = 60
     run.attackers[1].anchor_index, run.attackers[1].anchor_bid = 40, 40
     run.attackers[2].anchor_index, run.attackers[2].anchor_bid = 30, 30
     run._fold()
     window = run.window if protocol == "fruitchain" else 1
     assert run.base == 30 - (window - 1)
-    assert run.chain[0].bid == run.base
+    assert run.chain[0][BID] == run.base
     assert run.folded == [0.0, 0.0, 0.0, float(run.base)]
     assert run.public_units_from(run.attackers[1]) is not None
     assert run.public_units_from(run.attackers[2]) is not None
@@ -428,21 +448,21 @@ def test_an_orphaned_anchor_has_no_public_strength_and_adopts():
     # waits).  Attacker 0 is weaker, so it releases first and cuts at height
     # 2, below attacker 1's anchor.
     run = _Run(quick_config("nakamoto", alpha=0.1, attackers=2), 0, collect_records=False)
-    run.chain = [Block(0, -1, 0)] + [Block(h, 2, h) for h in range(1, 6)]
+    run.chain = [(0, -1, 0, None)] + [(h, 2, h, None) for h in range(1, 6)]
     run.public_units = 5
     for att, (anchor, n) in zip(run.attackers, [(1, 5), (3, 6)]):
         att.anchor_index, att.anchor_bid = anchor, anchor
-        att.blocks = [Block(10 * (att.id + 1) + j, att.id, anchor + 1 + j, ()) for j in range(n)]
+        att.blocks = [(10 * (att.id + 1) + j, att.id, anchor + 1 + j, ()) for j in range(n)]
         att.units = n
     first, rival = run.attackers
     assert run.public_units_from(first) == 4
     assert run.public_units_from(rival) == 2
     assert cascade_release([first], run) == [(0, OVERRIDE)]
-    assert run.chain[3 - run.base].bid != rival.anchor_bid
+    assert run.chain[3 - run.base][BID] != rival.anchor_bid
     assert run.public_units_from(rival) is None
     assert cascade_release(run.attackers, run) == [(1, ADOPT)]
     assert rival.floating and rival.units == 0
-    assert [b.bid for b in run.chain] == [0, 1] + list(range(10, 15))
+    assert [b[BID] for b in run.chain] == [0, 1] + list(range(10, 15))
 
 
 def _settling_run():
@@ -456,11 +476,11 @@ def _settling_run():
     Branch blocks of attacker ``a`` have bids ``10 * (a + 1) + j``.
     """
     run = _Run(quick_config("nakamoto", alpha=0.1, attackers=4), 0, collect_records=False)
-    run.chain = [Block(0, -1, 0)] + [Block(h, 4, h) for h in range(1, 6)]
+    run.chain = [(0, -1, 0, None)] + [(h, 4, h, None) for h in range(1, 6)]
     run.public_units = 5
     for att, (anchor, n) in zip(run.attackers, [(1, 6), (3, 3), (4, 5), (0, 7)]):
         att.anchor_index, att.anchor_bid = anchor, anchor
-        att.blocks = [Block(10 * (att.id + 1) + j, att.id, anchor + 1 + j, ()) for j in range(n)]
+        att.blocks = [(10 * (att.id + 1) + j, att.id, anchor + 1 + j, ()) for j in range(n)]
         att.units = n
     published = []
 
@@ -477,7 +497,7 @@ def test_settlement_publishes_the_weaker_branch_first():
     # The stronger branch then overrides it from a lower anchor.
     run, published = _settling_run()
     assert published == [1, 0]
-    assert [b.bid for b in run.chain] == [0, 1] + list(range(10, 16))
+    assert [b[BID] for b in run.chain] == [0, 1] + list(range(10, 16))
     assert run.public_units == 7
     assert run._result(0, 0).rewards == [6.0, 0.0, 0.0, 0.0, 1.0]
 
@@ -491,7 +511,7 @@ def test_settlement_keeps_a_level_branch_and_drops_an_orphaned_anchor():
     # as the dead-anchor defect to fix.
     run, published = _settling_run()
     assert 2 not in published and 3 not in published
-    assert {b.bid for b in run.chain}.isdisjoint(range(30, 47))
+    assert {b[BID] for b in run.chain}.isdisjoint(range(30, 47))
     assert run.attackers[3].units == run.public_units_from(run.attackers[3])
 
 

@@ -9,7 +9,7 @@ from selfishsim.config import (
     StrongchainParams,
     balanced_fruit_params,
 )
-from selfishsim.engine import Block, _Run, run_simulation
+from selfishsim.engine import EMB, _Run, run_simulation
 from selfishsim.rng import stream_uniforms
 
 HEAVY_KIND = {"strongchain": "strong", "fruitchain": "block"}
@@ -22,7 +22,7 @@ def _tally(protocol, blocks, tip=(), attackers=1, params=None):
 
 
 def test_nakamoto_one_reward_per_block():
-    blocks = [Block(1, 0, 1), Block(2, 1, 2), Block(3, 0, 3)]
+    blocks = [(1, 0, 1, None), (2, 1, 2, None), (3, 0, 3, None)]
     assert _tally("nakamoto", blocks) == [2.0, 1.0]
 
 
@@ -55,7 +55,7 @@ def test_strongchain_reward_arithmetic():
     # two strong blocks; weak headers pay 1/ratio whether embedded or
     # still pending at the tip
     params = StrongchainParams(ratio=10)
-    blocks = [Block(1, 0, 10, emb=[1, 1]), Block(2, 1, 22, emb=[0])]
+    blocks = [(1, 0, 10, [1, 1]), (2, 1, 22, [0])]
     rewards = _tally("strongchain", blocks, [0, 1], params=params)
     assert rewards == pytest.approx([1.2, 1.3])
     assert sum(rewards) == pytest.approx(2 + 5 * 0.1)
@@ -64,11 +64,11 @@ def test_strongchain_reward_arithmetic():
 def _mine_block_over_fruit(chain_height, pointer_height):
     """Honest block mined at ``chain_height`` over one pending fruit."""
     run = _Run(quick_config("fruitchain"), 0, collect_records=False)
-    run.chain = [Block(h, h - 1, 10 * h) for h in range(chain_height)]
+    run.chain = [(h, h - 1, 10 * h, None) for h in range(chain_height)]
     run.pending_fruits = [(1, pointer_height, pointer_height)]
     run._mine_main(0, True)
     assert run.pending_fruits == []
-    return run.chain[-1].emb
+    return run.chain[-1][EMB]
 
 
 def test_fruit_freshness_boundary():
@@ -81,8 +81,8 @@ def test_fruit_freshness_boundary():
 def test_fruitchain_reward_arithmetic():
     params = balanced_fruit_params()
     blocks = [
-        Block(1, 0, 10, emb=None),
-        Block(2, 1, 21, emb=[(0, 1, 1)]),
+        (1, 0, 10, None),
+        (2, 1, 21, [(0, 1, 1)]),
     ]
     rewards = _tally("fruitchain", blocks, attackers=2, params=params)
     assert rewards == pytest.approx([1.1, 1.0, 0.0])
@@ -92,7 +92,7 @@ def test_orphaned_fruit_pays_nothing():
     # a fruit that never makes it into a canonical block simply does not
     # appear in any emb list, so its miner gets nothing for it
     params = balanced_fruit_params()
-    blocks = [Block(1, 0, 10, emb=[])]
+    blocks = [(1, 0, 10, [])]
     assert _tally("fruitchain", blocks, params=params) == [1.0, 0.0]
 
 
@@ -107,7 +107,7 @@ def test_reward_split_presets():
     fruit_heavy = FruitchainParams(10, 10, 1.0, 1.0)
     for params, block_share in ((balanced_fruit_params(), 0.5), (fruit_heavy, 1 / 11)):
         fruits = [(1, 0, 0)] * params.fruit_ratio
-        rewards = _tally("fruitchain", [Block(1, 0, 20, emb=fruits)], params=params)
+        rewards = _tally("fruitchain", [(1, 0, 20, fruits)], params=params)
         assert rewards[0] / sum(rewards) == pytest.approx(block_share)
 
 

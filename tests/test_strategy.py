@@ -152,6 +152,41 @@ def test_cascade_breaks_equal_strength_by_id():
     assert actions == [(0, Action.OVERRIDE), (1, Action.MATCH)]
 
 
+class CountingChain(ScriptedChain):
+    """Scripted chain that counts the cascade's strength evaluations."""
+
+    def __init__(self, public, dead=()):
+        super().__init__(public, dead)
+        self.evaluations = 0
+
+    def public_units_from(self, att):
+        self.evaluations += 1
+        return super().public_units_from(att)
+
+
+def test_cascade_scan_continues_past_a_match():
+    # A match moves no public strength and no anchor, so one pass decides
+    # all three level attackers; a restart after each match would evaluate
+    # 1 + 2 + 3 times, plus a final pass of 3.
+    attackers = [_attacker(i, 2) for i in range(3)]
+    chain = CountingChain({0: 2, 1: 2, 2: 2})
+    actions = cascade_release(attackers, chain)
+    assert actions == [(0, Action.MATCH), (1, Action.MATCH), (2, Action.MATCH)]
+    assert chain.evaluations == 3
+    assert all(a.in_match for a in attackers)
+
+
+def test_cascade_override_after_a_match_restarts_the_scan():
+    # The level attacker matches; its rival, one unit ahead, overrides and
+    # leaves the matched branch behind the new public chain, so it adopts.
+    level = _attacker(0, 2)
+    rival = _attacker(1, 3)
+    chain = CountingChain({0: 2, 1: 2})
+    actions = cascade_release([level, rival], chain)
+    assert actions == [(0, Action.MATCH), (1, Action.OVERRIDE), (0, Action.ADOPT)]
+    assert level.floating and rival.floating
+
+
 def test_cascade_adopts_on_dead_anchor_and_weak_branch():
     dead = _attacker(0, 3)
     behind = _attacker(1, 1)
