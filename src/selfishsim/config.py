@@ -254,13 +254,14 @@ def _attacker_config(protocol, powers, honest, gamma, rounds, master_seed, proto
         raise ConfigError("attacker powers must leave honest power positive")
     miners = [MinerSpec(i, p, MinerKind.SELFISH) for i, p in enumerate(powers)]
     miners.append(MinerSpec(len(powers), honest, MinerKind.HONEST))
+    end = {} if rounds is None else {"end_condition": EndCondition(round_budget=rounds)}
     return SimulationConfig(
         protocol=protocol,
         miners=tuple(miners),
         gamma=gamma,
         master_seed=master_seed,
-        end_condition=EndCondition(round_budget=rounds),
         protocol_params=protocol_params,
+        **end,
     )
 
 
@@ -269,11 +270,14 @@ def symmetric_attacker_config(
     n_attackers: int,
     alpha: float,
     gamma: Optional[float] = None,
-    rounds: int = 100_000,
+    rounds: Optional[int] = None,
     master_seed: int = 0,
     protocol_params: object = None,
 ) -> SimulationConfig:
-    """k selfish miners at power ``alpha`` each plus one aggregate honest miner."""
+    """k selfish miners at power ``alpha`` each plus one aggregate honest miner.
+
+    A ``rounds`` of None takes ``SimulationConfig``'s default end condition.
+    """
     _check_count("n_attackers", n_attackers)
     _check_miner_count(n_attackers + 1)  # before the power list is built
     _check_powers((alpha,))
@@ -288,11 +292,14 @@ def rival_attacker_config(
     alpha_1: float,
     rival_powers: tuple[float, ...],
     gamma: Optional[float] = None,
-    rounds: int = 100_000,
+    rounds: Optional[int] = None,
     master_seed: int = 0,
     protocol_params: object = None,
 ) -> SimulationConfig:
-    """Attacker of interest at ``alpha_1`` with fixed-power selfish rivals."""
+    """Attacker of interest at ``alpha_1`` with fixed-power selfish rivals.
+
+    A ``rounds`` of None takes ``SimulationConfig``'s default end condition.
+    """
     powers = [alpha_1, *rival_powers]
     _check_powers(powers)
     return _attacker_config(

@@ -50,7 +50,7 @@ long the run is, and the draws are those of one whole-run stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain as concat
 from typing import Optional
 
 import numpy as np
@@ -85,18 +85,20 @@ KIND_NAMES = {
 
 
 class Tie:
-    """Equal-strength race: main line versus released alternatives."""
+    """Equal-strength race: main line versus released alternatives.
 
-    __slots__ = ("main_owner", "alts", "fruits")
+    Honest fruits mined on a released branch wait in the public fruit
+    pool: only a block on that branch can embed them, and they stay
+    mineable only if the branch wins.
+    """
+
+    __slots__ = ("main_owner", "alts")
 
     def __init__(self, main_owner, alts: list):
         # Who owns the contested main-line suffix (HONEST_BRANCH or an attacker
         # id) decides whether gamma or an even split steers honest leaders.
         self.main_owner = main_owner
         self.alts = alts  # the matched AttackerStates, whose branches race, in match order
-        # Owner id -> honest fruits (miner, pointer bid, pointer height) that
-        # point into that owner's released branch; they go public if it wins.
-        self.fruits = {}
 
 
 @dataclass
@@ -164,7 +166,6 @@ class _Run:
         self.base = 0
         self.folded = [0.0] * n  # rewards of the blocks at heights 1..base
         self.next_bid = 1
-        self.public_units = 0
         self.pending_wh = []      # miner ids of unembedded weak headers at the tip
         self.pending_fruits = []  # (miner, pointer bid, pointer height), published
         self.tie: Optional[Tie] = None
@@ -182,40 +183,34 @@ class _Run:
         if 0 <= i < len(chain):
             anchor = chain[i]
             if anchor[BID] == att.anchor_bid:
-                return self.public_units - anchor[CUM]
+                return chain[-1][CUM] + len(self.pending_wh) - anchor[CUM]
         return None
 
     def do_adopt(self, att: AttackerState) -> None:
+        """Drop the attacker's branch; its fruit pool keeps what is still mineable."""
         dropped = att.blocks
         att.reset()
         if self.fruit:
-            self._reclaim_embedded(att.pending_fruits, dropped)
+            att.pending_fruits = self._mineable(att.pending_fruits, dropped)
 
     def do_override(self, att: AttackerState) -> None:
         """Publish the attacker's branch: it replaces the main line above its anchor.
 
-        Ends any tie, hands the branch's pending weak headers (and, for a
-        released tie branch, the honest fruits pointing into it) to the
-        public tip, returns reorg-orphaned fruits to the public pool, and
-        floats the attacker again.
+        Ends any tie, hands the branch's pending weak headers to the public
+        tip, keeps in the public fruit pool what is still mineable on the
+        new chain, and floats the attacker again.
         """
         pend_wh = [att.id] * att.pending_count
-        pend_fruits = []
         if self.tie is not None:
-            pend_fruits = self.tie.fruits.get(att.id, [])
             self._end_tie()
-        anchor = att.anchor_index
         chain = self.chain
-        cut = anchor + 1 - self.base
+        cut = att.anchor_index + 1 - self.base
         dead = chain[cut:] if self.fruit else None
         del chain[cut:]
         chain.extend(att.blocks)
         self.pending_wh = pend_wh
         if self.fruit:  # the header path's public fruit pool stays empty
-            self.pending_fruits = [f for f in self.pending_fruits if f[2] <= anchor] + pend_fruits
-            if dead:
-                self._reclaim_embedded(self.pending_fruits, dead)
-        self.public_units = chain[-1][CUM] + len(pend_wh)
+            self.pending_fruits = self._mineable(self.pending_fruits, dead)
         att.reset()
 
     def do_match(self, att: AttackerState) -> None:
@@ -233,21 +228,18 @@ class _Run:
         else:
             self.tie.alts.append(att)
 
-    def _reclaim_embedded(self, pool: list, dead_blocks: list) -> None:
-        """Return the fruits of dropped blocks that point at canonical blocks to ``pool``.
+    def _mineable(self, pool: list, dead_blocks: list) -> list:
+        """The fruits of ``pool``, then those embedded in ``dead_blocks``, still mineable.
 
-        A replaced public block or an abandoned withheld one dies, but the
-        fruits it embedded stay mineable as long as the block they point at
-        is canonical: a reorg returns them to the public pool, an adopt to
-        the attacker's own.  Fruits pointing into the dropped blocks die
-        with them.
+        A fruit stays mineable while the block it points at is canonical.
+        After a release (``dead_blocks`` the replaced main-line blocks) or an
+        adopt (the abandoned branch), every other fruit points at a block
+        that can never be canonical again, or below ``base``, where it is
+        stale for every block to come.
         """
         chain, base, n = self.chain, self.base, len(self.chain)
-        for _, _, _, emb in dead_blocks:  # a fruit-path block's emb is a list
-            for f in emb:  # alive: the canonical block at its pointer height
-                i = f[2] - base
-                if 0 <= i < n and chain[i][BID] == f[1]:
-                    pool.append(f)
+        fruits = concat(pool, *[b[EMB] for b in dead_blocks])  # a fruit-path emb is a list
+        return [f for f in fruits if 0 <= f[2] - base < n and chain[f[2] - base][BID] == f[1]]
 
     # -- tie helpers ------------------------------------------------------
 
@@ -276,16 +268,6 @@ class _Run:
         idx = min(int(u * n), n - 1)
         return None if idx == 0 else tie.alts[idx - 1]
 
-    def _settle_tie_after_main_change(self, advance: int) -> None:
-        """Re-evaluate the open tie once a main-line artifact moved its strength by ``advance``."""
-        if advance > 0:
-            self._end_tie()
-        else:
-            # A main-line owner's strong block drops the other miners' weak
-            # headers pending at the tip; more than ``ratio`` of them weaken
-            # the main line, and the first released branch wins.
-            self.do_override(self.tie.alts[0])
-
     # -- mining -----------------------------------------------------------
 
     def _mine_main(self, miner: int, heavy: bool, att: Optional[AttackerState] = None) -> int:
@@ -294,10 +276,12 @@ class _Run:
         ``att`` is the attacker that owns a tie's main line and mines on it.
         It keeps its release rules: it never embeds honest weak headers
         (they die under its block) and embeds only its own fruits, which
-        stay private until then.
+        stay private until then.  A block advances the public strength by
+        its weight less the pending weak headers it takes off the tip.
         """
         chain = self.chain
         tip = chain[-1]
+        taken = 0  # pending weak headers the block takes off the tip
         if self.fruit:
             holder = self if att is None else att  # whose fruit pool the block draws on
             if not heavy:
@@ -312,17 +296,15 @@ class _Run:
             emb = ()
             if pend:
                 emb = tuple(pend) if att is None else tuple(m for m in pend if m == miner)
+                taken = len(pend)
                 pend.clear()
             cum = tip[CUM] + self.ratio + len(emb)
         else:
             self.pending_wh.append(miner)
-            self.public_units += 1
             return 1
         chain.append((self.next_bid, miner, cum, emb))
         self.next_bid += 1
-        advance = cum - self.public_units
-        self.public_units = cum
-        return advance
+        return cum - tip[CUM] - taken
 
     def _embeddable(self, pool: list, anchor: int, blocks: list) -> tuple:
         """Split ``pool`` into the fruits the next block of a branch embeds and the rest.
@@ -388,20 +370,19 @@ class _Run:
 
         Any header-path artifact makes the branch the strongest chain, so it
         is published and the artifact mined on it as the main line.  On the
-        fruit path a fruit waits in ``Tie.fruits`` until a block on the
-        branch embeds it; the block wins the tie.
+        fruit path a fruit joins the public pool, pointing into the branch;
+        a block on the branch embeds from that pool and wins the tie.
         """
         if not self.fruit:
             self.do_override(att)
             return self._mine_main(miner, heavy)
         anchor, blocks = att.anchor_index, att.blocks
         if not heavy:
-            self.tie.fruits.setdefault(att.id, []).append((miner, blocks[-1][BID], anchor + len(blocks)))
+            self.pending_fruits.append((miner, blocks[-1][BID], anchor + len(blocks)))
             return 0
-        # The public fruits left behind stay public; the release below drops
-        # those that point into the replaced main-line suffix.
+        # The fruits left behind stay public; the release below drops those
+        # whose block it leaves off the canonical chain.
         emb, self.pending_fruits = self._embeddable(self.pending_fruits, anchor, blocks)
-        emb += self._embeddable(self.tie.fruits.pop(att.id, ()), anchor, blocks)[0]
         gain = self.fruit_ratio + len(emb)
         blocks.append((self.next_bid, miner, blocks[-1][CUM] + gain, emb))
         self.next_bid += 1
@@ -505,8 +486,16 @@ class _Run:
 
                 acts = ()
                 if advance:
-                    if self.tie is not None:  # the main line moved; a branch's win closed the tie
-                        self._settle_tie_after_main_change(advance)
+                    tie = self.tie  # open unless a branch's win closed it
+                    if tie is not None:
+                        if advance > 0:  # the main line moved ahead
+                            self._end_tie()
+                        else:
+                            # A main-line owner's strong block drops the other
+                            # miners' weak headers pending at the tip; more than
+                            # ``ratio`` of them weaken the main line, and the
+                            # first released branch wins.
+                            self.do_override(tie.alts[0])
                     for a in attackers:  # the cascade has nothing to do while all float
                         if a.anchor_index >= 0:
                             acts = cascade_release(attackers, self)

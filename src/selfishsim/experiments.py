@@ -37,8 +37,8 @@ class SweepConfig:
 
     Exactly one of ``symmetric_attackers`` (every attacker gets the grid
     power) or ``fixed_rivals`` (attacker 1 walks the grid against fixed
-    rival powers) must be set.  A ``gamma`` or ``protocol_params`` of None
-    resolves to the grid points' default.
+    rival powers) must be set.  A ``gamma``, ``rounds`` or ``protocol_params``
+    of None resolves to the grid points' default.
     """
 
     protocol: ProtocolName
@@ -47,7 +47,7 @@ class SweepConfig:
     fixed_rivals: Optional[Tuple[float, ...]] = None
     gamma: Optional[float] = None
     repeats: int = 5
-    rounds: int = 100_000
+    rounds: Optional[int] = None
     master_seed: int = 0
     protocol_params: Optional[object] = None
 
@@ -77,10 +77,11 @@ class SweepConfig:
         _check_count("repeats", self.repeats)
         # The largest grid power leaves the least honest power, so its
         # config meets every power, gamma, params and rounds rule that
-        # any grid point must; it also resolves the gamma and protocol
-        # params they all share, so equal sweeps have equal reprs.
+        # any grid point must; it also resolves the gamma, run length and
+        # protocol params they all share, so equal sweeps have equal reprs.
         top = self.point_config(grid[-1])
         object.__setattr__(self, "gamma", top.gamma)
+        object.__setattr__(self, "rounds", top.end_condition.round_budget)
         object.__setattr__(self, "protocol_params", top.protocol_params)
 
     def key(self) -> tuple:

@@ -405,7 +405,10 @@ def write_results(
 
 
 def read_results(path) -> list:
-    """Parse a results.csv back into ResultRow objects."""
+    """Parse a results.csv back into ResultRow objects.
+
+    A malformed row raises ``ValueError`` naming the file and the line.
+    """
     p = Path(path)
     rows = []
     with p.open("r", encoding="utf-8", newline="") as fh:
@@ -414,28 +417,51 @@ def read_results(path) -> list:
         if tuple(header or ()) != RESULT_COLUMNS:
             raise ValueError(f"{p}: unexpected results.csv header: {header}")
         for rec in reader:
-            rows.append(ResultRow(*(parse(v) for v, (_, parse) in zip(rec, _COLUMN_CODECS))))
+            where = f"{p}: line {reader.line_num}"
+            if len(rec) != len(RESULT_COLUMNS):
+                raise ValueError(f"{where}: expected {len(RESULT_COLUMNS)} fields, got {len(rec)}")
+            try:
+                rows.append(ResultRow(*(parse(v) for v, (_, parse) in zip(rec, _COLUMN_CODECS))))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return rows
 
 
+def _series_key(name: str) -> tuple:
+    """The ``SweepConfig.key()`` of a thresholds.json name (see ``_series_names``)."""
+    proto, *knobs = name.split(" ")
+    prefixes = ("g=", "k=", "rivals=")
+    if not 2 <= len(knobs) <= 3 or not all(v.startswith(pre) for v, pre in zip(knobs, prefixes)):
+        raise ValueError("expected '<protocol> g=<gamma> k=<attackers>[ rivals=<p>,...]'")
+    gamma, k, *rivals = (v[len(pre):] for v, pre in zip(knobs, prefixes))
+    key: tuple = (proto, float(gamma), int(k))
+    if rivals:
+        key += (tuple(float(x) for x in rivals[0].split(",")),)
+    return key
+
+
 def read_thresholds(path) -> dict:
-    """Parse a thresholds.json back into {key tuple: ThresholdEstimate}."""
+    """Parse a thresholds.json back into {key tuple: ThresholdEstimate}.
+
+    A malformed entry raises ``ValueError`` naming the file and the key.
+    """
     p = Path(path)
-    raw = json.loads(p.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{p}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{p}: expected a JSON object, got {type(raw).__name__}")
     out = {}
     for name, entry in raw.items():
-        parts = name.split(" ")
-        proto = parts[0]
-        gamma = float(parts[1].removeprefix("g="))
-        k = int(parts[2].removeprefix("k="))
-        key: tuple = (proto, gamma, k)
-        if len(parts) > 3:
-            rivals = tuple(float(x) for x in parts[3].removeprefix("rivals=").split(","))
-            key = (proto, gamma, k, rivals)
-        out[key] = ThresholdEstimate(
-            threshold=entry["threshold"],
-            bracket=tuple(entry["bracket"]) if entry["bracket"] else None,
-            ci95=tuple(entry["ci95"]) if entry["ci95"] else None,
-            crossing_confirmed=entry["crossing_confirmed"],
-        )
+        try:
+            key = _series_key(name)
+            out[key] = ThresholdEstimate(
+                threshold=entry["threshold"],
+                bracket=tuple(entry["bracket"]) if entry["bracket"] else None,
+                ci95=tuple(entry["ci95"]) if entry["ci95"] else None,
+                crossing_confirmed=entry["crossing_confirmed"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{p}: key {name!r}: {type(exc).__name__}: {exc}") from None
     return out

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .config import (
-    EndCondition,
     MinerKind,
     MinerSpec,
     ProtocolName,
@@ -179,7 +178,6 @@ def fairness_configs(master_seed: int = MASTER_SEED) -> list:
                 protocol=proto,
                 miners=miners,
                 gamma=0.5,
-                end_condition=EndCondition(round_budget=100_000),
                 master_seed=master_seed + s,
             )
             out.append((cfg, powers))

@@ -1,5 +1,6 @@
 """Engine behavior: leader election, determinism, conservation, anchors."""
 
+import collections
 import dataclasses
 import hashlib
 import os
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from conftest import quick_config
-from selfishsim import engine
+from selfishsim import engine, fruitchain, strongchain
 from selfishsim.config import (
     EndCondition,
     MinerKind,
@@ -19,7 +20,7 @@ from selfishsim.config import (
     SimulationConfig,
     rival_attacker_config,
 )
-from selfishsim.engine import BID, _Run, run_simulation
+from selfishsim.engine import BID, EMB, _Run, run_simulation
 from selfishsim.rng import stream_uniforms
 from selfishsim.strategy import ADOPT, OVERRIDE, cascade_release
 
@@ -246,6 +247,8 @@ def test_pinned_runs_reach_every_tie_path(pinned_runs):
 @pytest.mark.parametrize("protocol", ["nakamoto", "strongchain", "fruitchain"])
 @pytest.mark.parametrize("attackers", [1, 3])
 def test_cascade_runs_only_while_an_attacker_withholds(monkeypatch, protocol, attackers):
+    # Also counts every binding perfbench/tracing.py replaces to time a layer:
+    # a run that called a private copy would read zero there.
     cfg = quick_config(protocol, alpha=0.2, rounds=3000, seed=28, attackers=attackers)
     plain = run_simulation(cfg, collect_records=True)
     mid_run = []
@@ -257,8 +260,18 @@ def test_cascade_runs_only_while_an_attacker_withholds(monkeypatch, protocol, at
         return cascade_release(states, chain)
 
     monkeypatch.setattr(engine, "cascade_release", withholding_only)
+    calls = collections.Counter()
+    counted = [(engine, "RoundLanes"), (engine, "config_digest"),
+               (fruitchain if protocol == "fruitchain" else strongchain, "tally_rewards")]
+    for mod, name in counted:
+        def counting(*args, _fn=getattr(mod, name), _key=(mod, name), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counting)
     wrapped = run_simulation(cfg, collect_records=True)
     assert mid_run
+    assert all(calls[target] for target in counted)
     assert _record_digest(wrapped.records) == _record_digest(plain.records)
     assert wrapped.rewards == plain.rewards
 
@@ -426,7 +439,6 @@ def test_fold_stops_at_the_lowest_live_anchor(protocol):
     # A bare public chain of 60 honest blocks over genesis.
     run = _Run(quick_config(protocol, alpha=0.1, attackers=3), 0, collect_records=False)
     run.chain = [(0, -1, 0, None)] + [(h, 3, h, None) for h in range(1, 61)]
-    run.public_units = 60
     run.attackers[1].anchor_index, run.attackers[1].anchor_bid = 40, 40
     run.attackers[2].anchor_index, run.attackers[2].anchor_bid = 30, 30
     run._fold()
@@ -449,7 +461,6 @@ def test_an_orphaned_anchor_has_no_public_strength_and_adopts():
     # 2, below attacker 1's anchor.
     run = _Run(quick_config("nakamoto", alpha=0.1, attackers=2), 0, collect_records=False)
     run.chain = [(0, -1, 0, None)] + [(h, 2, h, None) for h in range(1, 6)]
-    run.public_units = 5
     for att, (anchor, n) in zip(run.attackers, [(1, 5), (3, 6)]):
         att.anchor_index, att.anchor_bid = anchor, anchor
         att.blocks = [(10 * (att.id + 1) + j, att.id, anchor + 1 + j, ()) for j in range(n)]
@@ -477,7 +488,6 @@ def _settling_run():
     """
     run = _Run(quick_config("nakamoto", alpha=0.1, attackers=4), 0, collect_records=False)
     run.chain = [(0, -1, 0, None)] + [(h, 4, h, None) for h in range(1, 6)]
-    run.public_units = 5
     for att, (anchor, n) in zip(run.attackers, [(1, 6), (3, 3), (4, 5), (0, 7)]):
         att.anchor_index, att.anchor_bid = anchor, anchor
         att.blocks = [(10 * (att.id + 1) + j, att.id, anchor + 1 + j, ()) for j in range(n)]
@@ -498,7 +508,7 @@ def test_settlement_publishes_the_weaker_branch_first():
     run, published = _settling_run()
     assert published == [1, 0]
     assert [b[BID] for b in run.chain] == [0, 1] + list(range(10, 16))
-    assert run.public_units == 7
+    assert run.public_units_from(run.attackers[3]) == 7
     assert run._result(0, 0).rewards == [6.0, 0.0, 0.0, 0.0, 1.0]
 
 
@@ -513,6 +523,68 @@ def test_settlement_keeps_a_level_branch_and_drops_an_orphaned_anchor():
     assert 2 not in published and 3 not in published
     assert {b[BID] for b in run.chain}.isdisjoint(range(30, 47))
     assert run.attackers[3].units == run.public_units_from(run.attackers[3])
+
+
+def _released_fruit_branch():
+    """A fruitchain tie between an honest main line and attacker 0's released branch.
+
+    Main-line blocks 1-5 (bid = height) are honest; block 4 embeds the
+    attacker's fruit (0, 2, 2) and block 5 the honest fruit (1, 4, 4).
+    The attacker's branch from height 3 has blocks 40 and 41, embedding its
+    fruits (0, 3, 3) and (0, 40, 4), and is level with the main line.  The
+    public pool holds (1, 3, 3); an honest miner then mines the fruit
+    (1, 41, 5) on the released branch and (1, 5, 5) on the main-line tip.
+    """
+    run = _Run(quick_config("fruitchain", alpha=0.1), 0, collect_records=False)
+    r = run.fruit_ratio
+    run.chain = [(0, -1, 0, None), (1, 1, r, []), (2, 1, 2 * r, []), (3, 1, 3 * r, []),
+                 (4, 1, 4 * r + 1, [(0, 2, 2)]), (5, 1, 5 * r + 2, [(1, 4, 4)])]
+    att = run.attackers[0]
+    att.anchor_index, att.anchor_bid = 3, 3
+    att.blocks = [(40, 0, 4 * r + 1, [(0, 3, 3)]), (41, 0, 5 * r + 2, [(0, 40, 4)])]
+    att.units = 2 * r + 2
+    run.next_bid = 50
+    run.pending_fruits = [(1, 3, 3)]
+    run.do_match(att)
+    run._extend_alt(att, 1, heavy=False)
+    run._mine_main(1, heavy=False)
+    return run, att
+
+
+def test_an_honest_block_on_a_released_fruit_branch_wins_with_its_fruits():
+    run, att = _released_fruit_branch()
+    assert run._extend_alt(att, 1, heavy=True) == run.fruit_ratio + 2
+    assert run.tie is None
+    assert [b[BID] for b in run.chain] == [0, 1, 2, 3, 40, 41, 50]
+    # The fruit mined on the branch and the one at the anchor are embedded.
+    assert sorted(run.chain[-1][EMB]) == [(1, 3, 3), (1, 41, 5)]
+    # The replaced blocks' fruit below the anchor stays public; fruits
+    # pointing at the replaced blocks 4 and 5 leave.
+    assert run.pending_fruits == [(0, 2, 2)]
+
+
+def test_the_owners_block_publishes_the_honest_fruits_on_its_branch():
+    run, att = _released_fruit_branch()
+    assert run._mine_private(att, heavy=True) == run.fruit_ratio
+    run.do_override(att)
+    assert [b[BID] for b in run.chain] == [0, 1, 2, 3, 40, 41, 50]
+    assert sorted(run.pending_fruits) == [(0, 2, 2), (1, 3, 3), (1, 41, 5)]
+    run._mine_main(1, heavy=True)
+    assert sorted(run.chain[-1][EMB]) == [(0, 2, 2), (1, 3, 3), (1, 41, 5)]
+
+
+def test_a_losing_fruit_branch_takes_its_honest_fruits_with_it():
+    run, att = _released_fruit_branch()
+    run._mine_main(1, heavy=True)  # the main line gains and closes the tie
+    run._end_tie()
+    assert cascade_release(run.attackers, run) == [(0, ADOPT)]
+    # The attacker keeps its fruit embedded in its dropped block 40 whose
+    # pointer is canonical; the one pointing at its block 40 dies.
+    assert att.pending_fruits == [(0, 3, 3)]
+    run._mine_main(1, heavy=True)
+    assert [b[BID] for b in run.chain] == [0, 1, 2, 3, 4, 5, 50, 51]
+    assert sorted(run.chain[-2][EMB]) == [(1, 3, 3), (1, 5, 5)]
+    assert all((1, 41, 5) not in b[EMB] for b in run.chain[1:])
 
 
 @pytest.mark.parametrize("protocol", ["nakamoto", "strongchain", "fruitchain"])
@@ -539,21 +611,29 @@ def status_mb(key):
     return int(line.split()[1]) / 1024
 
 imported = status_mb("VmRSS")
-cfg = symmetric_attacker_config(ProtocolName(sys.argv[1]), 1, 0.25, gamma=0.5, rounds=1_000_000)
+protocol, attackers, alpha, gamma = sys.argv[1], int(sys.argv[2]), float(sys.argv[3]), float(sys.argv[4])
+cfg = symmetric_attacker_config(ProtocolName(protocol), attackers, alpha, gamma=gamma, rounds=1_000_000)
 run_simulation(cfg)
 print(status_mb("VmHWM") - imported)
 """
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux /proc")
-@pytest.mark.parametrize("protocol", ["nakamoto", "fruitchain"])
-def test_million_round_run_adds_little_over_the_imports(protocol):
+@pytest.mark.parametrize("run", [
+    pytest.param(("nakamoto", 1, 0.25, 0.5), id="nakamoto"),
+    pytest.param(("fruitchain", 1, 0.25, 0.5), id="fruitchain"),
+    # Three attackers below the race onset: no branch stays ahead for long.
+    pytest.param(("strongchain", 3, 0.23, 0.0), id="strongchain-k3"),
+])
+def test_million_round_run_adds_little_over_the_imports(run):
     # A run holds one chunk of lanes and live blocks, so a million rounds
-    # add little to what the imports already hold.
+    # add little to what the imports already hold.  A race, where one
+    # withheld branch stays ahead for the whole run, keeps its contested
+    # chain; see the README.
     src = str(pathlib.Path(engine.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", _RSS_GROWTH_MB, protocol],
+        [sys.executable, "-c", _RSS_GROWTH_MB, *map(str, run)],
         env=env, capture_output=True, text=True, check=True,
     )
     assert float(out.stdout) <= 5.0

@@ -246,6 +246,37 @@ def test_write_and_read_results_round_trip(tmp_path):
     assert "manifest.json" in manifest.outputs
 
 
+_GOOD_ROW = "nakamoto,0.5,1,0.3,0,100,7,0,selfish,0.25,0.3"
+
+
+@pytest.mark.parametrize("row,error", [
+    (_GOOD_ROW + ",extra", "expected 11 fields, got 12"),
+    (_GOOD_ROW.rsplit(",", 1)[0], "expected 11 fields, got 10"),
+    (_GOOD_ROW.replace("0.25", "x"), "could not convert string to float: 'x'"),
+])
+def test_read_results_names_the_file_and_line_of_a_bad_row(tmp_path, row, error):
+    path = tmp_path / "results.csv"
+    path.write_text(f"{HEADER}\n{_GOOD_ROW}\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {error}")):
+        read_results(path)
+
+
+_NO_THRESHOLD = {"threshold": None, "bracket": None, "ci95": None, "crossing_confirmed": False}
+
+
+@pytest.mark.parametrize("text,error", [
+    (json.dumps({"nakamoto g=0.5": _NO_THRESHOLD}), "key 'nakamoto g=0.5': "),
+    (json.dumps({"nakamoto g=0.5 k=1": []}), "key 'nakamoto g=0.5 k=1': "),
+    ("[]", "expected a JSON object, got list"),
+    ("{", "Expecting property name"),
+])
+def test_read_thresholds_names_the_file_of_a_bad_entry(tmp_path, text, error):
+    path = tmp_path / "thresholds.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+        read_thresholds(path)
+
+
 def test_rival_threshold_key_round_trip(tmp_path):
     est = ThresholdEstimate(threshold=None)
     write_results([], {("fruitchain", 0.5, 2, (0.4,)): est}, tmp_path / "o", master_seed=0)
@@ -350,3 +381,7 @@ def test_single_attacker_gamma_default_is_shared(tmp_path, protocol):
     gammas = [c.gamma for c in (sim, sweep, parsed_sim, parsed_sweep, built)]
     assert gammas == [0.0 if protocol == "strongchain" else 0.5] * 5
     assert sim == parsed_sim == built
+    rival = rival_attacker_config(proto, 0.3, (0.1,))
+    lengths = [sim.end_condition.round_budget, sweep.rounds, parsed_sweep.rounds,
+               built.end_condition.round_budget, rival.end_condition.round_budget]
+    assert lengths == [sim.end_condition.round_budget] * 5
