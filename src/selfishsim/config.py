@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
@@ -53,6 +54,14 @@ class ProtocolName(str, Enum):
     NAKAMOTO = "nakamoto"
     STRONGCHAIN = "strongchain"
     FRUITCHAIN = "fruitchain"
+
+
+def _check_protocol(name) -> ProtocolName:
+    """``name`` as a ProtocolName; an unknown name is a ConfigError listing the known ones."""
+    try:
+        return ProtocolName(name)
+    except ValueError:
+        raise ConfigError(f"unknown protocol {name!r}; known: {', '.join(ProtocolName)}") from None
 
 
 @dataclass(frozen=True)
@@ -107,8 +116,8 @@ class FruitchainParams:
     ``freshness_window`` the maximum height distance (inclusive) at which a
     fruit may still be embedded; both must be ints (not bools).
     ``block_reward`` and ``fruit_reward`` set the payout split and must be
-    non-negative int or float numbers; the defaults give blocks half the
-    steady-state reward.
+    finite, non-negative int or float numbers, not both 0; the defaults
+    give blocks half the steady-state reward.
     """
 
     fruit_ratio: int = 10
@@ -125,6 +134,12 @@ class FruitchainParams:
                 raise ConfigError(f"{name} must be a number, got {v!r}")
         if self.block_reward < 0 or self.fruit_reward < 0:
             raise ConfigError("rewards must be non-negative")
+        for name in ("block_reward", "fruit_reward"):
+            v = getattr(self, name)
+            if not v < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be finite, got {v!r}")
+        if self.block_reward == self.fruit_reward == 0:
+            raise ConfigError("block_reward and fruit_reward must not both be 0")
 
 
 def balanced_fruit_params(fruit_ratio: int = 10, freshness_window: int = 10) -> FruitchainParams:
@@ -172,10 +187,7 @@ class SimulationConfig:
         total = sum(m.power for m in miners)
         if abs(total - 1.0) > POWER_SUM_TOL:
             raise ConfigError(f"miner powers must sum to 1, got {total!r}")
-        try:
-            proto = ProtocolName(self.protocol)
-        except ValueError:
-            raise ConfigError(f"unknown protocol {self.protocol!r}; known: {', '.join(ProtocolName)}") from None
+        proto = _check_protocol(self.protocol)
         object.__setattr__(self, "protocol", proto)
         if self.gamma is None:
             gamma = default_gamma(proto, len(self.selfish_ids))
@@ -202,6 +214,8 @@ class SimulationConfig:
             raise ConfigError(f"end_condition must be an EndCondition, got {self.end_condition!r}")
         if self.end_condition.target_height is not None and proto is not ProtocolName.FRUITCHAIN:
             raise ConfigError("target_height end condition is only supported for fruitchain")
+        if self.master_seed >= 2**64:  # run seeds keep 64 bits of it
+            raise ConfigError(f"master_seed must be below 2**64, got {self.master_seed}")
 
     @property
     def selfish_ids(self) -> tuple[int, ...]:

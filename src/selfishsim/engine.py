@@ -64,7 +64,7 @@ from .config import (
     config_digest,
 )
 from .rng import RoundLanes, derive_run_seed, lane_seed
-from .strategy import HONEST_BRANCH, OVERRIDE, WAIT, AttackerState, cascade_release
+from .strategy import OVERRIDE, WAIT, AttackerState, cascade_release
 
 # Rounds of lanes drawn and decoded at a time, and the fold interval.  A
 # 4,096-round chunk's lanes, decoded lists and live blocks take a few
@@ -95,8 +95,8 @@ class Tie:
     __slots__ = ("main_owner", "alts")
 
     def __init__(self, main_owner, alts: list):
-        # Who owns the contested main-line suffix (HONEST_BRANCH or an attacker
-        # id) decides whether gamma or an even split steers honest leaders.
+        # The owner of the contested main-line suffix (its AttackerState, None for
+        # the honest miners) decides whether gamma or an even split steers honest leaders.
         self.main_owner = main_owner
         self.alts = alts  # the matched AttackerStates, whose branches race, in match order
 
@@ -218,13 +218,8 @@ class _Run:
         att.in_match = True
         if self.tie is None:
             chain = self.chain
-            tip_miner = chain[-1][MINER]
             above_anchor = self.base + len(chain) - 1 > att.anchor_index
-            if above_anchor and self.att_of[tip_miner] is not None:
-                owner = tip_miner
-            else:
-                owner = HONEST_BRANCH
-            self.tie = Tie(owner, [att])
+            self.tie = Tie(self.att_of[chain[-1][MINER]] if above_anchor else None, [att])
         else:
             self.tie.alts.append(att)
 
@@ -262,7 +257,7 @@ class _Run:
         first, released branches in match order).
         """
         tie = self.tie
-        if tie.main_owner == HONEST_BRANCH and len(tie.alts) == 1:
+        if tie.main_owner is None and len(tie.alts) == 1:
             return tie.alts[0] if u < self.gamma else None
         n = 1 + len(tie.alts)
         idx = min(int(u * n), n - 1)
@@ -470,7 +465,7 @@ class _Run:
                         if advance:  # the first strength gain wins the tie
                             self.do_override(att)
                             own = OVERRIDE
-                    elif tie is not None and tie.main_owner == leader:
+                    elif tie is not None and tie.main_owner is att:
                         advance = self._mine_main(leader, heavy, att)
                         own = OVERRIDE if advance else None
                     else:

@@ -24,6 +24,7 @@ from .config import (
     ProtocolName,
     SimulationConfig,
     _check_count,
+    _check_protocol,
     is_number,
     rival_attacker_config,
     symmetric_attacker_config,
@@ -52,7 +53,7 @@ class SweepConfig:
     protocol_params: Optional[object] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "protocol", ProtocolName(self.protocol))
+        object.__setattr__(self, "protocol", _check_protocol(self.protocol))
         for name in ("alpha_grid", "fixed_rivals"):
             values = getattr(self, name)
             if values is not None and not all(map(is_number, values)):

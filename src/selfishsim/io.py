@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from io import StringIO
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 from .config import (
     PROTOCOL_PARAMS,
@@ -144,29 +144,23 @@ _TOP_KEYS = (
     "end_condition",
 )
 
-_OBJECT = ("an object", lambda v: isinstance(v, dict))
-_LIST = ("a list", lambda v: isinstance(v, list))
-_OBJECTS = (
-    "a list of objects",
-    lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
-)
+_SHAPES = {dict: "an object", list: "a list"}
 
 
-def _value(obj: dict, key: str, kind=None, where: str = "", required: bool = False):
-    """``obj[key]``, checked against a JSON shape when ``kind`` is given.
+def _value(obj: dict, key: str, typ=None, where: str = "", required: bool = False):
+    """``obj[key]``, checked to be a ``typ`` (dict or list) when ``typ`` is given.
 
     An optional key that is absent or null gives None; a required key
-    must be present, and null fails its shape.  The value's own type
+    must be present, and null fails its type.  The value's own type
     and range are left to the config class that takes it.
     """
     if required and key not in obj:
         raise ConfigError(f"{where}missing required key '{key}'")
     v = obj.get(key)
-    if kind is None or (v is None and not required):
+    if typ is None or (v is None and not required):
         return v
-    what, ok = kind
-    if not ok(v):
-        raise ConfigError(f"{where}key '{key}': expected {what}, got {v!r}")
+    if not isinstance(v, typ):
+        raise ConfigError(f"{where}key '{key}': expected {_SHAPES[typ]}, got {v!r}")
     return v
 
 
@@ -189,12 +183,13 @@ def _known(obj: dict, allowed, where: str = "") -> None:
         )
 
 
-def _build(where: str, cls, **kwargs):
-    """``cls(**kwargs)``, naming the config key its ConfigError comes from."""
+def _build(key: str, cls, obj: dict):
+    """``cls(**obj)`` for the file object at ``key``; its keys must be ``cls``'s fields."""
     try:
-        return cls(**kwargs)
+        _known(obj, [f.name for f in fields(cls)])
+        return cls(**obj)
     except ConfigError as e:
-        raise ConfigError(f"{where}{e}") from None
+        raise ConfigError(f"key '{key}': {e}") from None
 
 
 def _given(obj: dict, spec) -> dict:
@@ -206,53 +201,28 @@ def _given(obj: dict, spec) -> dict:
     return {name: obj[key] for key, name in spec if obj.get(key) is not None}
 
 
-def _parse_params(proto: ProtocolName, d: dict):
-    cls = PROTOCOL_PARAMS.get(proto)
-    if cls is None:
-        return d  # the config class refuses parameters for this protocol
-    where = "key 'protocol_params': "
-    _known(d, [f.name for f in fields(cls)], where)
-    return _build(where, cls, **d)
-
-
 def _parse_miners(raw: dict) -> tuple:
+    entries = raw["miners"]
+    if not isinstance(entries, list) or not all(isinstance(m, dict) for m in entries):
+        raise ConfigError(f"key 'miners': expected a list of objects, got {entries!r}")
     miners = []
-    for i, m in enumerate(_value(raw, "miners", _OBJECTS)):
+    for i, m in enumerate(entries):
         where = f"key 'miners': entry {i}: "
-        _known(m, ("id", "power", "kind"), where)
+        _known(m, [f.name for f in fields(MinerSpec)], where)
         power = _value(m, "power", where=where, required=True)
         kind = _enum(MinerKind, m, "kind", where)
         miners.append(MinerSpec(id=m.get("id", i), power=power, kind=kind))
     return tuple(miners)
 
 
-def _parse_end_condition(raw: dict) -> Optional[EndCondition]:
-    rounds = raw.get("rounds")
-    ec = _value(raw, "end_condition", _OBJECT)
-    if ec is None:
-        if rounds is None:
-            return None
-        return _build("key 'rounds': ", EndCondition, round_budget=rounds)
-    if rounds is not None:
-        raise ConfigError("keys 'rounds' and 'end_condition' are mutually exclusive")
-    where = "key 'end_condition': "
-    _known(ec, ("round_budget", "target_height"), where)
-    return _build(
-        where,
-        EndCondition,
-        round_budget=ec.get("round_budget"),
-        target_height=ec.get("target_height"),
-    )
-
-
 def _parse_sweep(proto: ProtocolName, raw: dict, knobs: dict) -> SweepConfig:
     if raw.get("end_condition") is not None:
         raise ConfigError("key 'end_condition': only applies to simulate configs (use 'rounds')")
     where = "key 'sweep': "
-    sw = _value(raw, "sweep", _OBJECT)
+    sw = _value(raw, "sweep", dict)
     _known(sw, ("alpha_grid", "attackers", "rivals"), where)
-    grid = _value(sw, "alpha_grid", _LIST, where, required=True)
-    rivals = _value(sw, "rivals", _LIST, where)
+    grid = _value(sw, "alpha_grid", list, where, required=True)
+    rivals = _value(sw, "rivals", list, where)
     return SweepConfig(
         protocol=proto,
         alpha_grid=tuple(grid),
@@ -271,16 +241,21 @@ def _parse(raw) -> Union[SimulationConfig, SweepConfig]:
     if (raw.get("miners") is None) == (raw.get("sweep") is None):
         raise ConfigError("exactly one of keys 'miners' and 'sweep' is required")
     knobs = _given(raw, (("gamma", "gamma"), ("seed", "master_seed")))
-    params = _value(raw, "protocol_params", _OBJECT)
+    params = _value(raw, "protocol_params", dict)
     if params is not None:
-        knobs["protocol_params"] = _parse_params(proto, params)
+        cls = PROTOCOL_PARAMS.get(proto)  # without one, the config class refuses parameters
+        knobs["protocol_params"] = params if cls is None else _build("protocol_params", cls, params)
     if raw.get("sweep") is not None:
         return _parse_sweep(proto, raw, knobs)
     if raw.get("repeats") is not None:
         raise ConfigError("key 'repeats': only applies to sweep configs")
-    end = _parse_end_condition(raw)
+    end, rounds = _value(raw, "end_condition", dict), raw.get("rounds")
+    if end is not None and rounds is not None:
+        raise ConfigError("keys 'rounds' and 'end_condition' are mutually exclusive")
     if end is not None:
-        knobs["end_condition"] = end
+        knobs["end_condition"] = _build("end_condition", EndCondition, end)
+    elif rounds is not None:
+        knobs["end_condition"] = _build("rounds", EndCondition, {"round_budget": rounds})
     return SimulationConfig(protocol=proto, miners=_parse_miners(raw), **knobs)
 
 

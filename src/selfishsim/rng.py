@@ -56,10 +56,10 @@ def derive_run_seed(master_seed: int, run_index: int, config_digest: int) -> int
     stage is a bijection, so distinct run indices under the same master
     seed and digest can never collide.
     """
-    if run_index < 0:
-        raise ValueError("run_index must be non-negative")
+    if not 0 <= run_index <= _MASK:
+        raise ValueError(f"run_index must be in [0, 2**64), got {run_index}")
     s = mix64((master_seed & _MASK) ^ _GOLDEN)
-    s = mix64(s ^ (run_index & _MASK))
+    s = mix64(s ^ run_index)
     return mix64(s ^ (config_digest & _MASK))
 
 

@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 
-HONEST_BRANCH = "honest"
-
-
 class Action(str, Enum):
     ADOPT = "adopt"
     MATCH = "match"

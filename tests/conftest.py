@@ -3,7 +3,6 @@
 from selfishsim.config import ProtocolName, symmetric_attacker_config
 from selfishsim.engine import Tie, _Run
 from selfishsim.rng import stream_uniforms
-from selfishsim.strategy import HONEST_BRANCH
 
 
 def quick_config(protocol, alpha=0.3, gamma=0.5, rounds=2000, seed=1, attackers=1,
@@ -20,17 +19,18 @@ def quick_config(protocol, alpha=0.3, gamma=0.5, rounds=2000, seed=1, attackers=
     )
 
 
-def tie_branch_shares(gamma, n_alts, main_owner=HONEST_BRANCH, draws=20_000, seed=0):
+def tie_branch_shares(gamma, n_alts, attacker_main: bool = False, draws=20_000, seed=0):
     """Share of honest tie-round draws going to each tied branch.
 
-    Sets up a tie between the main line, owned by ``main_owner`` (the
-    honest miners or attacker ``n_alts``), and ``n_alts`` released
-    branches owned by attackers 0.. in match order, then feeds tie-lane
-    uniforms to the engine's own branch choice.  Returns the shares, main
-    line first.
+    Sets up a tie between the main line, owned by attacker ``n_alts``
+    when ``attacker_main`` and by the honest miners otherwise, and
+    ``n_alts`` released branches owned by attackers 0.. in match order,
+    then feeds tie-lane uniforms to the engine's own branch choice.
+    Returns the shares, main line first.
     """
     cfg = quick_config("nakamoto", alpha=0.1, gamma=gamma, attackers=n_alts + 1)
     run = _Run(cfg, 0, collect_records=False)
+    main_owner = run.attackers[n_alts] if attacker_main else None
     run.tie = Tie(main_owner=main_owner, alts=run.attackers[:n_alts])
     counts = [0] * (1 + n_alts)
     for u in stream_uniforms(seed, draws).tolist():

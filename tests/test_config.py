@@ -222,6 +222,9 @@ def _with_miner(**field):
         (lambda v: _with_miner(kind=v), "kind", "selfish"),
         (lambda v: _sweep(alpha_grid=v), "alpha_grid", (0.2, "0.3")),
         (lambda v: _sweep(symmetric_attackers=None, fixed_rivals=v), "fixed_rivals", ("0.4",)),
+        (lambda v: FruitchainParams(block_reward=v), "block_reward", float("nan")),
+        (lambda v: FruitchainParams(fruit_reward=v), "fruit_reward", float("inf")),
+        (lambda v: _sweep(master_seed=v), "master_seed", 2**64),
     ],
 )
 def test_library_configs_check_value_types(build, name, bad):
@@ -252,6 +255,7 @@ def test_builders_check_powers_before_any_arithmetic(build, bad):
     [
         lambda: SimulationConfig("bitcoin", _miners(1.0)),
         lambda: symmetric_attacker_config("bitcoin", 1, 0.3),
+        lambda: _sweep(protocol="bitcoin"),
     ],
 )
 def test_unknown_protocol_is_a_config_error(build):

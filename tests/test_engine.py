@@ -139,9 +139,10 @@ def test_fruitchain_target_height_stops_at_exact_height():
     assert res.chain_blocks == 300
 
 
-def test_negative_run_index_rejected():
+@pytest.mark.parametrize("run_index", [-1, 2**64])
+def test_negative_run_index_rejected(run_index):
     with pytest.raises(ValueError):
-        run_simulation(quick_config("nakamoto", rounds=100), run_index=-1)
+        run_simulation(quick_config("nakamoto", rounds=100), run_index=run_index)
 
 
 # Frozen outcomes of specific seeds; any engine change that moves these

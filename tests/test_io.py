@@ -143,6 +143,13 @@ def test_parse_target_height(tmp_path):
         (lambda d: d.update(gamma="0.5"), "a number, got '0.5'"),
         (lambda d: d["miners"][0].update(power="x"), "a number.*got 'x'"),
         (lambda d: d["miners"][0].update(id=1.5), r"integer.*1\.5"),
+        (lambda d: d.update(protocol="fruitchain", protocol_params={"block_reward": float("nan")}),
+         "block_reward must be finite, got nan"),
+        (lambda d: d.update(protocol="fruitchain", protocol_params={"fruit_reward": float("inf")}),
+         "fruit_reward must be finite, got inf"),
+        (lambda d: d.update(protocol="fruitchain", protocol_params={"block_reward": 0, "fruit_reward": 0}),
+         "not both be 0"),
+        (lambda d: d.update(seed=2**64), "master_seed must be below 2\\*\\*64, got 18446744073709551616"),
     ],
 )
 def test_parse_simulation_errors(tmp_path, mutate, needle):

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import tie_branch_shares
 from selfishsim.strategy import (
-    HONEST_BRANCH,
     Action,
     AttackerState,
     cascade_release,
@@ -71,8 +70,7 @@ def test_match_weights_normalise_over_random_draws():
         n_alts = r.randint(1, 3)
         gamma = r.random()
         attacker_main = r.random() < 0.5
-        main_owner = n_alts if attacker_main else HONEST_BRANCH
-        shares = tie_branch_shares(gamma, n_alts, main_owner=main_owner, draws=5000, seed=r.randrange(2**32))
+        shares = tie_branch_shares(gamma, n_alts, attacker_main, draws=5000, seed=r.randrange(2**32))
         if n_alts == 1 and not attacker_main:
             expected = [1.0 - gamma, gamma]
         else:
