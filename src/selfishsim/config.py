@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
@@ -37,6 +37,17 @@ def _check_count(name: str, v) -> None:
         raise ConfigError(f"{name} must be an integer, got {v!r}")
     if v < 1:
         raise ConfigError(f"{name} must be >= 1, got {v}")
+
+
+def _as_tuple(name: str, values) -> tuple:
+    """``values`` (a list, tuple, range, array or other iterable) as a tuple.
+
+    Anything that is not iterable is a ConfigError naming ``name`` and the value.
+    """
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ConfigError(f"{name} must be a list or other iterable, got {values!r}") from None
 
 
 def _check_powers(powers) -> None:
@@ -136,7 +147,7 @@ class FruitchainParams:
             raise ConfigError("rewards must be non-negative")
         for name in ("block_reward", "fruit_reward"):
             v = getattr(self, name)
-            if not v < math.inf:  # NaN fails too
+            if not v <= sys.float_info.max:  # NaN, inf and an int beyond the float range fail
                 raise ConfigError(f"{name} must be finite, got {v!r}")
         if self.block_reward == self.fruit_reward == 0:
             raise ConfigError("block_reward and fruit_reward must not both be 0")
@@ -172,12 +183,14 @@ class SimulationConfig:
     protocol_params: object = None
 
     def __post_init__(self):
-        miners = tuple(self.miners)
+        miners = _as_tuple("miners", self.miners)
         object.__setattr__(self, "miners", miners)
         if not miners:
             raise ConfigError("at least one miner is required")
         _check_miner_count(len(miners))
         for i, m in enumerate(miners):
+            if not isinstance(m, MinerSpec):
+                raise ConfigError(f"miner {i} must be a MinerSpec, got {m!r}")
             if not is_int(m.id) or m.id != i:
                 raise ConfigError(f"miner ids must be integers from 0 up, got {m.id!r} at {i}")
             if not is_number(m.power) or not 0.0 < m.power <= 1.0:
@@ -314,7 +327,7 @@ def rival_attacker_config(
 
     A ``rounds`` of None takes ``SimulationConfig``'s default end condition.
     """
-    powers = [alpha_1, *rival_powers]
+    powers = [alpha_1, *_as_tuple("rival_powers", rival_powers)]
     _check_powers(powers)
     return _attacker_config(
         protocol, powers, 1.0 - sum(powers), gamma, rounds, master_seed, protocol_params

@@ -57,6 +57,7 @@ import numpy as np
 
 from . import fruitchain, strongchain
 from .config import (
+    ConfigError,
     FruitchainParams,
     ProtocolName,
     SimulationConfig,
@@ -87,9 +88,10 @@ KIND_NAMES = {
 class Tie:
     """Equal-strength race: main line versus released alternatives.
 
-    Honest fruits mined on a released branch wait in the public fruit
-    pool: only a block on that branch can embed them, and they stay
-    mineable only if the branch wins.
+    ``_Run.tie`` is the only record of a tie; any public advance closes it.
+    Honest fruits mined on a released branch wait in the public fruit pool:
+    only a block on that branch can embed them, and they stay mineable only
+    if the branch wins.
     """
 
     __slots__ = ("main_owner", "alts")
@@ -201,8 +203,7 @@ class _Run:
         new chain, and floats the attacker again.
         """
         pend_wh = [att.id] * att.pending_count
-        if self.tie is not None:
-            self._end_tie()
+        self.tie = None
         chain = self.chain
         cut = att.anchor_index + 1 - self.base
         dead = chain[cut:] if self.fruit else None
@@ -215,7 +216,6 @@ class _Run:
 
     def do_match(self, att: AttackerState) -> None:
         """Release the branch next to the equal-strength main line."""
-        att.in_match = True
         if self.tie is None:
             chain = self.chain
             above_anchor = self.base + len(chain) - 1 > att.anchor_index
@@ -237,17 +237,6 @@ class _Run:
         return [f for f in fruits if 0 <= f[2] - base < n and chain[f[2] - base][BID] == f[1]]
 
     # -- tie helpers ------------------------------------------------------
-
-    def _end_tie(self) -> None:
-        """Close the tie; its released branches are withheld again.
-
-        A branch's released weak headers stay behind with the closed tie,
-        though its ``units`` still count them.
-        """
-        for att in self.tie.alts:
-            att.in_match = False
-            att.pending_count = 0
-        self.tie = None
 
     def _choose_tie_branch(self, u: float) -> Optional[AttackerState]:
         """Honest leader's parent pick during a tie; None means the main line.
@@ -389,12 +378,13 @@ class _Run:
     def _settle_final(self) -> None:
         """The attackers react once more, with no bound on the override lead.
 
+        An open tie closes first: exact ties stand with the public chain.
         Every branch strictly stronger than the public chain from its live
         anchor is published, weakest first, so a stronger rival can still
-        override the result; exact ties stand with the public chain.  An
-        attacker whose anchor a release orphans adopts, as it does mid-run,
-        however strong its branch.
+        override the result.  An attacker whose anchor a release orphans
+        adopts, as it does mid-run, however strong its branch.
         """
+        self.tie = None
         self.quantum_units = float("inf")
         cascade_release(self.attackers, self)
 
@@ -460,7 +450,7 @@ class _Run:
                 own = None  # the leader's own move, as recorded
                 att = att_of[leader]
                 if att is not None:
-                    if att.in_match:
+                    if tie is not None and att in tie.alts:
                         advance = self._mine_private(att, heavy)
                         if advance:  # the first strength gain wins the tie
                             self.do_override(att)
@@ -484,7 +474,7 @@ class _Run:
                     tie = self.tie  # open unless a branch's win closed it
                     if tie is not None:
                         if advance > 0:  # the main line moved ahead
-                            self._end_tie()
+                            self.tie = None
                         else:
                             # A main-line owner's strong block drops the other
                             # miners' weak headers pending at the tip; more than
@@ -512,6 +502,8 @@ class _Run:
     def _result(self, run_seed: int, rounds: int) -> SimulationResult:
         rewards = self._tally(self.chain[1:], self.pending_wh)
         total = sum(rewards)
+        if not total < float("inf"):  # NaN too; only fruit rewards are configurable
+            raise ConfigError(f"rewards overflow float arithmetic: {self.config.protocol_params}")
         if total > 0:
             revenues = [x / total for x in rewards]
         else:

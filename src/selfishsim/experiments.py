@@ -23,6 +23,7 @@ from .config import (
     ConfigError,
     ProtocolName,
     SimulationConfig,
+    _as_tuple,
     _check_count,
     _check_protocol,
     is_number,
@@ -54,11 +55,12 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "protocol", _check_protocol(self.protocol))
-        for name in ("alpha_grid", "fixed_rivals"):
-            values = getattr(self, name)
+        grid = _as_tuple("alpha_grid", self.alpha_grid)
+        rivals = None if self.fixed_rivals is None else _as_tuple("fixed_rivals", self.fixed_rivals)
+        for name, values in (("alpha_grid", grid), ("fixed_rivals", rivals)):
             if values is not None and not all(map(is_number, values)):
-                raise ConfigError(f"{name} must hold numbers, got {values!r}")
-        grid = tuple(float(a) for a in self.alpha_grid)
+                raise ConfigError(f"{name} must hold numbers, got {getattr(self, name)!r}")
+        grid = tuple(float(a) for a in grid)
         object.__setattr__(self, "alpha_grid", grid)
         if len(grid) < 1:
             raise ConfigError("alpha_grid must not be empty")
@@ -70,8 +72,8 @@ class SweepConfig:
             raise ConfigError(
                 "exactly one of symmetric_attackers and fixed_rivals is required"
             )
-        if self.fixed_rivals is not None:
-            rivals = tuple(float(p) for p in self.fixed_rivals)
+        if rivals is not None:
+            rivals = tuple(float(p) for p in rivals)
             object.__setattr__(self, "fixed_rivals", rivals)
             if not rivals:
                 raise ConfigError("fixed_rivals must not be empty")

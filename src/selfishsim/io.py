@@ -328,7 +328,9 @@ def write_results(
     produce a header-only CSV and an empty threshold map, and no
     plotdata/.  Every file is formatted before any is written; if a write
     fails, files created by this call are removed before the error
-    propagates.
+    propagates.  Once every file is written, the curves under plotdata/
+    that this call did not write are deleted, so plotdata/ holds exactly
+    the curves of thresholds.json.
     """
     from . import __version__
 
@@ -364,7 +366,6 @@ def write_results(
             path = out / name
             created.append(path)
             path.write_text(text, encoding="utf-8", newline="")
-        return manifest
     except BaseException:
         for p in created:
             try:
@@ -377,6 +378,10 @@ def write_results(
             except OSError:
                 pass
         raise
+    for stale in (out / "plotdata").glob("*.csv"):  # an earlier write's curves
+        if f"plotdata/{stale.name}" not in texts:
+            stale.unlink()
+    return manifest
 
 
 def read_results(path) -> list:

@@ -35,11 +35,10 @@ class AttackerState:
     with the public tip).  ``units`` is the withheld strength in protocol
     units.  ``pending_count`` holds unembedded private weak headers,
     ``pending_fruits`` unembedded private fruits as (miner, pointer id,
-    pointer height), the public pool's format.  ``in_match`` marks a branch
-    released into an open tie: the attacker keeps mining it and publishes
-    it on its first strength gain, and its pending weak headers stay with it
-    until the tie ends.  ``reset`` empties the branch after an adopt, a
-    release or a won tie.
+    pointer height), the public pool's format.  A branch that loses a tie
+    (``engine.Tie``) is withheld again with everything it held, weak headers
+    included.  ``reset`` empties the branch after an adopt, a release or a
+    won tie.
     """
 
     id: int
@@ -49,7 +48,6 @@ class AttackerState:
     units: int = 0
     pending_count: int = 0
     pending_fruits: list = field(default_factory=list)
-    in_match: bool = False
 
     @property
     def floating(self) -> bool:
@@ -60,7 +58,6 @@ class AttackerState:
         self.blocks = []
         self.units = 0
         self.pending_count = 0
-        self.in_match = False
         self.anchor_index = -1
         self.anchor_bid = -1
 
@@ -101,15 +98,17 @@ def cascade_release(attackers, chain) -> list:
     state.  A match moves no public strength and no anchor, so the scan
     continues past it; only an override changes the public chain, and it
     restarts the scan.  An attacker whose anchor a release orphaned adopts,
-    however strong its branch.  When no attacker withholds, the call
-    returns at once without reading ``chain``; mid-run the engine does not
-    call it then, but settlement does.  ``chain`` supplies the protocol
-    view: ``public_units_from(att)``, the public strength past the
-    attacker's anchor or None once that anchor is orphaned, the override
-    quantum and the three state mutations.  The engine settles a run with
-    one more call whose quantum is unbounded, so every branch ahead of the
-    public chain from a live anchor is published.  Returns the executed
-    actions as (attacker id, Action) pairs.
+    however strong its branch.  No cascade starts with a tie open, so none
+    reads tie state: the engine calls it after a public advance, which
+    closes any tie, and settlement closes the tie first.  When no attacker
+    withholds, the call returns at once without reading ``chain``; mid-run
+    the engine does not call it then, but settlement does.  ``chain``
+    supplies the protocol view: ``public_units_from(att)``, the public
+    strength past the attacker's anchor or None once that anchor is
+    orphaned, the override quantum and the three state mutations.  The
+    engine settles a run with one more call whose quantum is unbounded, so
+    every branch ahead of the public chain from a live anchor is published.
+    Returns the executed actions as (attacker id, Action) pairs.
 
     The loop is bounded: every override consumes withheld strength, so
     more than ``2 * len(attackers) + 2`` restarts mark an internal error.
@@ -141,7 +140,7 @@ def cascade_release(attackers, chain) -> list:
                 chain.do_override(att)
                 actions.append((att.id, OVERRIDE))
                 break
-            elif verdict is MATCH and not att.in_match:
+            elif verdict is MATCH:
                 chain.do_match(att)
                 actions.append((att.id, MATCH))
         else:

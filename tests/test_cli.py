@@ -92,6 +92,18 @@ def test_rival_sweep_writes_one_rivals_curve(tmp_path):
     assert "0.2" in [line.split(",")[0] for line in lines[1:]]
 
 
+def test_a_rerun_into_the_same_directory_leaves_only_its_own_curves(tmp_path):
+    out_dir = tmp_path / "sw"
+    for attackers in (1, 2):
+        payload = dict(SWEEP, sweep=dict(SWEEP["sweep"], attackers=attackers))
+        cfg = _cfg_file(tmp_path, payload)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 0
+    thresholds = json.loads((out_dir / "thresholds.json").read_text())
+    assert list(thresholds) == ["nakamoto g=0.5 k=2"]
+    plots = sorted(p.name for p in (out_dir / "plotdata").iterdir())
+    assert plots == ["nakamoto_g0.5_k2.csv"]
+
+
 def test_sweep_jobs_do_not_change_outputs(tmp_path):
     cfg = _cfg_file(tmp_path, SWEEP)
     cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "one")])

@@ -225,6 +225,16 @@ def _with_miner(**field):
         (lambda v: FruitchainParams(block_reward=v), "block_reward", float("nan")),
         (lambda v: FruitchainParams(fruit_reward=v), "fruit_reward", float("inf")),
         (lambda v: _sweep(master_seed=v), "master_seed", 2**64),
+        # A value where a container belongs, and a container of non-MinerSpecs.
+        (lambda v: _sweep(alpha_grid=v), "alpha_grid", 0.3),
+        (lambda v: _sweep(alpha_grid=v), "alpha_grid", None),
+        (lambda v: _sweep(symmetric_attackers=None, fixed_rivals=v), "fixed_rivals", 0.4),
+        (lambda v: rival_attacker_config(NAKAMOTO, 0.2, v), "rival_powers", 0.4),
+        (lambda v: SimulationConfig(NAKAMOTO, v), "miners", 5),
+        (lambda v: SimulationConfig(NAKAMOTO, [v, v]), "miner 0", 0.5),
+        # An int reward that float arithmetic cannot carry.
+        pytest.param(lambda v: FruitchainParams(block_reward=v), "block_reward", 10**400,
+                     id="block_reward-10**400"),
     ],
 )
 def test_library_configs_check_value_types(build, name, bad):

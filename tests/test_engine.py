@@ -13,14 +13,16 @@ import pytest
 from conftest import quick_config
 from selfishsim import engine, fruitchain, strongchain
 from selfishsim.config import (
+    ConfigError,
     EndCondition,
+    FruitchainParams,
     MinerKind,
     MinerSpec,
     ProtocolName,
     SimulationConfig,
     rival_attacker_config,
 )
-from selfishsim.engine import BID, EMB, _Run, run_simulation
+from selfishsim.engine import BID, CUM, EMB, _Run, run_simulation
 from selfishsim.rng import stream_uniforms
 from selfishsim.strategy import ADOPT, OVERRIDE, cascade_release
 
@@ -200,7 +202,7 @@ def pinned_runs():
         return extend_alt(self, att, miner, heavy)
 
     def private(self, att, heavy):
-        if att.in_match:
+        if self.tie is not None and att in self.tie.alts:
             paths.add(("owner", heavy))
         return mine_private(self, att, heavy)
 
@@ -258,6 +260,14 @@ def test_cascade_runs_only_while_an_attacker_withholds(monkeypatch, protocol, at
         if chain.quantum_units != float("inf"):  # settlement calls whoever withholds
             assert any(not a.floating for a in states)
             mid_run.append(chain)
+        # No cascade starts in a tie, and a branch counts exactly the
+        # strength it holds, pending weak headers included.
+        assert chain.tie is None
+        for a in states:
+            if chain.public_units_from(a) is not None:  # a live anchor
+                anchor_cum = chain.chain[a.anchor_index - chain.base][CUM]
+                top = a.blocks[-1][CUM] if a.blocks else anchor_cum
+                assert a.units == top - anchor_cum + a.pending_count
         return cascade_release(states, chain)
 
     monkeypatch.setattr(engine, "cascade_release", withholding_only)
@@ -576,8 +586,8 @@ def test_the_owners_block_publishes_the_honest_fruits_on_its_branch():
 
 def test_a_losing_fruit_branch_takes_its_honest_fruits_with_it():
     run, att = _released_fruit_branch()
-    run._mine_main(1, heavy=True)  # the main line gains and closes the tie
-    run._end_tie()
+    run._mine_main(1, heavy=True)  # the main line gains, which closes the tie
+    run.tie = None
     assert cascade_release(run.attackers, run) == [(0, ADOPT)]
     # The attacker keeps its fruit embedded in its dropped block 40 whose
     # pointer is canonical; the one pointing at its block 40 dies.
@@ -586,6 +596,14 @@ def test_a_losing_fruit_branch_takes_its_honest_fruits_with_it():
     assert [b[BID] for b in run.chain] == [0, 1, 2, 3, 4, 5, 50, 51]
     assert sorted(run.chain[-2][EMB]) == [(1, 3, 3), (1, 5, 5)]
     assert all((1, 41, 5) not in b[EMB] for b in run.chain[1:])
+
+
+def test_rewards_that_overflow_float_arithmetic_are_a_config_error():
+    # Each reward is finite, but their sums are not.
+    params = FruitchainParams(block_reward=1e308, fruit_reward=1e308)
+    cfg = quick_config("fruitchain", rounds=1000, protocol_params=params)
+    with pytest.raises(ConfigError, match=r"block_reward=1e\+308, fruit_reward=1e\+308"):
+        run_simulation(cfg)
 
 
 @pytest.mark.parametrize("protocol", ["nakamoto", "strongchain", "fruitchain"])

@@ -150,6 +150,8 @@ def test_parse_target_height(tmp_path):
         (lambda d: d.update(protocol="fruitchain", protocol_params={"block_reward": 0, "fruit_reward": 0}),
          "not both be 0"),
         (lambda d: d.update(seed=2**64), "master_seed must be below 2\\*\\*64, got 18446744073709551616"),
+        (lambda d: d.update(protocol="fruitchain", protocol_params={"block_reward": 10**400}),
+         "block_reward must be finite, got 1000"),
     ],
 )
 def test_parse_simulation_errors(tmp_path, mutate, needle):

@@ -104,7 +104,6 @@ class ScriptedChain:
         att.blocks = []
         att.units = 0
         att.anchor_index = -1
-        att.in_match = False
 
     def do_override(self, att):
         self.log.append((att.id, Action.OVERRIDE))
@@ -117,7 +116,6 @@ class ScriptedChain:
 
     def do_match(self, att):
         self.log.append((att.id, Action.MATCH))
-        att.in_match = True
 
 
 def _attacker(aid, units, blocks=True):
@@ -171,7 +169,6 @@ def test_cascade_scan_continues_past_a_match():
     actions = cascade_release(attackers, chain)
     assert actions == [(0, Action.MATCH), (1, Action.MATCH), (2, Action.MATCH)]
     assert chain.evaluations == 3
-    assert all(a.in_match for a in attackers)
 
 
 def test_cascade_override_after_a_match_restarts_the_scan():
@@ -194,22 +191,11 @@ def test_cascade_adopts_on_dead_anchor_and_weak_branch():
     assert (1, Action.ADOPT) in actions
 
 
-def test_cascade_match_fires_once():
-    att = _attacker(0, 2)
-    chain = ScriptedChain({0: 2})
-    actions = cascade_release([att], chain)
-    assert actions == [(0, Action.MATCH)]
-    assert att.in_match
-    # a second settling pass with the match standing does nothing new
-    assert cascade_release([att], chain) == []
-
-
 def test_cascade_leaves_a_level_attacker_without_blocks_unmatched():
     # Bare weak headers cannot form a competing chain.
     att = _attacker(0, 2, blocks=False)
     chain = ScriptedChain({0: 2})
     assert cascade_release([att], chain) == []
-    assert not att.in_match
     assert chain.log == []
 
 
