@@ -36,8 +36,15 @@ A block is a plain tuple ``(bid, miner, cum, emb)`` read through ``BID``,
 costs a fraction of a class instance's ``__init__``.  ``cum`` is the
 strength in units through the block, embedded artifacts included; ``emb``
 holds embedded weak headers as a tuple of miner ids, embedded fruits as a
-list of (miner, pointer bid, pointer height), so a reorg can tell which stay
-mineable.
+list of fruit-pool entries (miner, pointer bid, pointer height, count), so a
+reorg can tell which stay mineable.  The fruits of an entry share their
+miner and pointer, hence their freshness and liveness.
+
+The round loop visits every round on the header path.  On the fruit path it
+visits only block rounds: a fruit round opens and closes no tie, calls no
+cascade, anchors no attacker and raises no height, so the fruits mined
+between two blocks join the pools in one step, one counted entry per miner
+and pointer.
 
 Determinism: a run is a pure function of (config, master seed, run index).
 All draws come from the documented counter-based stream in rng.py, three
@@ -50,7 +57,7 @@ long the run is, and the draws are those of one whole-run stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain as concat
+from itertools import accumulate, chain as concat, repeat
 from typing import Optional
 
 import numpy as np
@@ -169,7 +176,7 @@ class _Run:
         self.folded = [0.0] * n  # rewards of the blocks at heights 1..base
         self.next_bid = 1
         self.pending_wh = []      # miner ids of unembedded weak headers at the tip
-        self.pending_fruits = []  # (miner, pointer bid, pointer height), published
+        self.pending_fruits = []  # (miner, pointer bid, pointer height, count), published
         self.tie: Optional[Tie] = None
         self.attackers = [AttackerState(i) for i in config.selfish_ids]
         self.att_of = [None] * n  # miner id -> its AttackerState, None for an honest miner
@@ -254,6 +261,75 @@ class _Run:
 
     # -- mining -----------------------------------------------------------
 
+    def _block_rounds(self, leaders, heavies, lane_tie, first: int):
+        """The fruit path's steps: (index in the chunk, leader, True) per block round.
+
+        Before each block round, and once the chunk is done, the fruit
+        rounds since the last step are credited through ``_mine_fruits``; a
+        run that ends at a block leaves the rounds after it unmined.
+        """
+        all_leaders = leaders.tolist()
+        steps = np.flatnonzero(heavies)
+        lo = 0
+        for step in zip(steps.tolist(), leaders[steps].tolist(), repeat(True)):
+            j = step[0]
+            if j > lo:
+                self._mine_fruits(all_leaders, lane_tie, first, lo, j)
+            yield step
+            lo = j + 1
+        if lo < len(all_leaders):
+            self._mine_fruits(all_leaders, lane_tie, first, lo, len(all_leaders))
+
+    def _mine_fruits(self, leaders: list, lane_tie, first: int, lo: int, hi: int) -> None:
+        """Credit the fruit rounds ``lo .. hi-1`` of the chunk that starts at round ``first``.
+
+        A fruit round opens and closes no tie, calls no cascade, anchors no
+        attacker and raises no height, so the fruits mined since the last
+        block join the pools in one step, as one entry per miner and
+        pointer: (miner, pointer bid, pointer height, count).  An honest
+        fruit points at the public tip, or during a tie at the branch its
+        own tie lane picks; an attacker's points at its branch tip, or at
+        the public tip while it holds no block.
+        """
+        stretch = leaders[lo:hi]
+        chain = self.chain
+        tip_bid, tip_h = chain[-1][BID], self.base + len(chain) - 1
+        tie = self.tie
+        att_of = self.att_of
+        pool = self.pending_fruits
+        for m in set(stretch):
+            att = att_of[m]
+            if att is not None:
+                blocks = att.blocks
+                if blocks:
+                    att.pending_fruits.append(
+                        (m, blocks[-1][BID], att.anchor_index + len(blocks), stretch.count(m)))
+                else:
+                    att.pending_fruits.append((m, tip_bid, tip_h, stretch.count(m)))
+            elif tie is None:
+                pool.append((m, tip_bid, tip_h, stretch.count(m)))
+        if tie is not None:
+            counts = {}
+            for j in range(lo, hi):
+                m = leaders[j]
+                if att_of[m] is None:
+                    alt = self._choose_tie_branch(float(lane_tie[j]))
+                    if alt is None:
+                        key = (m, tip_bid, tip_h)
+                    else:
+                        key = (m, alt.blocks[-1][BID], alt.anchor_index + len(alt.blocks))
+                    counts[key] = counts.get(key, 0) + 1
+            pool.extend(key + (c,) for key, c in counts.items())
+        if self.collect:
+            kind = KIND_NAMES[self.proto][False]
+            for j in range(lo, hi):
+                m = leaders[j]
+                att = att_of[m]
+                # An attacker that neither races in nor owns a tie waits.
+                waits = att is not None and (tie is None or att is not tie.main_owner
+                                             and att not in tie.alts)
+                self.records.append(RoundRecord(first + j, m, kind, ((m, WAIT),) if waits else ()))
+
     def _mine_main(self, miner: int, heavy: bool, att: Optional[AttackerState] = None) -> int:
         """Artifact on the main line; returns the strength advance.
 
@@ -261,20 +337,18 @@ class _Run:
         It keeps its release rules: it never embeds honest weak headers
         (they die under its block) and embeds only its own fruits, which
         stay private until then.  A block advances the public strength by
-        its weight less the pending weak headers it takes off the tip.
+        its weight less the pending weak headers it takes off the tip.  On
+        the fruit path only blocks come here (see ``_mine_fruits``).
         """
         chain = self.chain
         tip = chain[-1]
         taken = 0  # pending weak headers the block takes off the tip
         if self.fruit:
             holder = self if att is None else att  # whose fruit pool the block draws on
-            if not heavy:
-                holder.pending_fruits.append((miner, tip[BID], self.base + len(chain) - 1))
-                return 0
             # The branch is the live chain above the folded blocks.
-            emb = self._embeddable(holder.pending_fruits, self.base - 1, chain)[0]
+            emb, _, weight = self._embeddable(holder.pending_fruits, self.base - 1, chain)
             holder.pending_fruits = []
-            cum = tip[CUM] + self.fruit_ratio + len(emb)
+            cum = tip[CUM] + weight
         elif heavy:
             pend = self.pending_wh
             emb = ()
@@ -291,19 +365,23 @@ class _Run:
         return cum - tip[CUM] - taken
 
     def _embeddable(self, pool: list, anchor: int, blocks: list) -> tuple:
-        """Split ``pool`` into the fruits the next block of a branch embeds and the rest.
+        """Split ``pool`` into the entries the next block of a branch embeds and the rest.
 
         The branch is the canonical chain up to height ``anchor``, then
         ``blocks``.  A fruit is embedded when it is fresh at the new block's
-        height and points at a block of the branch.  Returns (embedded,
-        left), both in pool order; a block that empties its pool drops
-        ``left``, whose entries are stale or point at orphaned blocks.
+        height and points at a block of the branch; the fruits of an entry
+        share one pointer, so the entry is embedded or left whole.  Returns
+        (embedded, left, weight): the two in pool order, and the new
+        block's weight, ``fruit_ratio`` plus the fruits it embeds.  A block
+        that empties its pool drops ``left``, whose entries are stale or
+        point at orphaned blocks.
         """
         height = anchor + len(blocks) + 1  # of the new block
         window = self.window
         chain, base, n = self.chain, self.base, len(self.chain)
         emb = []
         left = []
+        weight = self.fruit_ratio
         for f in pool:
             ph = f[2]
             if height - ph <= window and (
@@ -311,19 +389,14 @@ class _Run:
                 else ph < height and blocks[ph - anchor - 1][BID] == f[1]
             ):
                 emb.append(f)
+                weight += f[3]
             else:
                 left.append(f)
-        return emb, left
+        return emb, left, weight
 
     def _mine_private(self, att: AttackerState, heavy: bool) -> int:
         """Artifact on the attacker's own branch; returns its strength gain."""
         blocks = att.blocks
-        if self.fruit and not heavy:
-            if blocks:
-                att.pending_fruits.append((att.id, blocks[-1][BID], att.anchor_index + len(blocks)))
-            else:
-                att.pending_fruits.append((att.id, self.chain[-1][BID], self.base + len(self.chain) - 1))
-            return 0
         if att.anchor_index < 0:
             att.anchor_index = self.base + len(self.chain) - 1
             att.anchor_bid = self.chain[-1][BID]
@@ -334,9 +407,8 @@ class _Run:
         anchor = att.anchor_index
         parent_cum = blocks[-1][CUM] if blocks else self.chain[anchor - self.base][CUM]
         if self.fruit:
-            emb = self._embeddable(att.pending_fruits, anchor, blocks)[0]
+            emb, _, gain = self._embeddable(att.pending_fruits, anchor, blocks)
             att.pending_fruits = []
-            gain = self.fruit_ratio + len(emb)
             cum = parent_cum + gain
         else:
             # The embedded headers counted when they were mined.
@@ -354,20 +426,17 @@ class _Run:
 
         Any header-path artifact makes the branch the strongest chain, so it
         is published and the artifact mined on it as the main line.  On the
-        fruit path a fruit joins the public pool, pointing into the branch;
-        a block on the branch embeds from that pool and wins the tie.
+        fruit path a block on the branch embeds from the public pool, where
+        honest fruits pointing into the branch wait (``_mine_fruits``), and
+        wins the tie.
         """
         if not self.fruit:
             self.do_override(att)
             return self._mine_main(miner, heavy)
         anchor, blocks = att.anchor_index, att.blocks
-        if not heavy:
-            self.pending_fruits.append((miner, blocks[-1][BID], anchor + len(blocks)))
-            return 0
         # The fruits left behind stay public; the release below drops those
         # whose block it leaves off the canonical chain.
-        emb, self.pending_fruits = self._embeddable(self.pending_fruits, anchor, blocks)
-        gain = self.fruit_ratio + len(emb)
+        emb, self.pending_fruits, gain = self._embeddable(self.pending_fruits, anchor, blocks)
         blocks.append((self.next_bid, miner, blocks[-1][CUM] + gain, emb))
         self.next_bid += 1
         self.do_override(att)
@@ -442,10 +511,14 @@ class _Run:
                 self._fold()
             n = CHUNK if limit is None else min(CHUNK, limit - first)
             lanes = RoundLanes(lane_seed(run_seed, first), n)
-            leaders = np.searchsorted(cum_powers, lanes.leader, side="right").tolist()
-            heavies = (lanes.kind < p_heavy).tolist()
+            leaders = np.searchsorted(cum_powers, lanes.leader, side="right")
+            heavies = lanes.kind < p_heavy
             lane_tie = lanes.tie  # read only by an honest leader during a tie
-            for leader, heavy in zip(leaders, heavies):
+            if self.fruit:
+                rounds = self._block_rounds(leaders, heavies, lane_tie, first)
+            else:
+                rounds = zip(range(n), leaders.tolist(), heavies.tolist())
+            for j, leader, heavy in rounds:
                 tie = self.tie
                 own = None  # the leader's own move, as recorded
                 att = att_of[leader]
@@ -463,7 +536,7 @@ class _Run:
                         advance = 0
                         own = WAIT
                 else:
-                    alt = None if tie is None else self._choose_tie_branch(float(lane_tie[i - first]))
+                    alt = None if tie is None else self._choose_tie_branch(float(lane_tie[j]))
                     if alt is None:
                         advance = self._mine_main(leader, heavy)
                     else:
@@ -487,14 +560,15 @@ class _Run:
                             break
                 if collect:
                     moves = (() if own is None else ((leader, own),)) + tuple(acts)
-                    self.records.append(RoundRecord(i, leader, kind_names[heavy], moves))
-                i += 1
+                    self.records.append(RoundRecord(first + j, leader, kind_names[heavy], moves))
                 # Only a block raises the highest chain: a fruit or weak
                 # header adds no block, a branch anchors at the tip, and a
                 # release publishes a branch whose height already counted.
                 if heavy and target is not None and self._max_height() >= target:
-                    limit = i  # the run ends here; no further chunk is drawn
+                    i = limit = first + j + 1  # the run ends here; no further chunk is drawn
                     break
+            else:
+                i = first + n
 
         self._settle_final()
         return self._result(run_seed, i)

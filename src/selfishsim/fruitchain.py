@@ -18,14 +18,20 @@ from .config import FruitchainParams
 def tally_rewards(blocks, params: FruitchainParams, start) -> list:
     """``start`` plus the rewards of ``blocks``; only embedded fruits pay.
 
-    Embedded entries are (miner, pointer bid, pointer height) so a reorg
-    can tell which fruits stay re-embeddable.
+    Embedded entries are (miner, pointer bid, pointer height, count) so a
+    reorg can tell which fruits stay re-embeddable.  An entry pays
+    ``fruit_reward`` once per fruit, ``count`` additions: one product
+    ``count * fruit_reward`` would round differently.  Each term after a
+    block's reward is the same constant, so the order of the entries in a
+    block moves no miner's sum.
     """
     block_reward, fruit_reward = params.block_reward, params.fruit_reward
     rewards = list(start)
     for _, miner, _, emb in blocks:
         rewards[miner] += block_reward
         if emb:
-            for f in emb:
-                rewards[f[0]] += fruit_reward
+            for m, _, _, count in emb:
+                while count:
+                    rewards[m] += fruit_reward
+                    count -= 1
     return rewards

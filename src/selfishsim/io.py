@@ -364,7 +364,8 @@ def write_results(
                 made_dirs.append(d)
         for name, text in texts.items():
             path = out / name
-            created.append(path)
+            if not path.exists():  # an earlier run's file is not this call's to remove
+                created.append(path)
             path.write_text(text, encoding="utf-8", newline="")
     except BaseException:
         for p in created:

@@ -26,7 +26,7 @@ ADOPT, MATCH, OVERRIDE, WAIT = Action.ADOPT, Action.MATCH, Action.OVERRIDE, Acti
 _SCAN_ORDER = attrgetter("units", "id")
 
 
-@dataclass
+@dataclass(eq=False)  # ids are unique: identity is equality, and `in tie.alts` stays cheap
 class AttackerState:
     """Mutable per-attacker bookkeeping used by the engine.
 
@@ -35,7 +35,7 @@ class AttackerState:
     with the public tip).  ``units`` is the withheld strength in protocol
     units.  ``pending_count`` holds unembedded private weak headers,
     ``pending_fruits`` unembedded private fruits as (miner, pointer id,
-    pointer height), the public pool's format.  A branch that loses a tie
+    pointer height, count) entries, the public pool's format.  A branch that loses a tie
     (``engine.Tie``) is withheld again with everything it held, weak headers
     included.  ``reset`` empties the branch after an adopt, a release or a
     won tie.

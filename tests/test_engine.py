@@ -195,7 +195,7 @@ def pinned_runs():
     """Record digest and tie paths taken of each pinned run, by name."""
     paths = set()
     extend_alt, mine_private = _Run._extend_alt, _Run._mine_private
-    mine_main, do_match = _Run._mine_main, _Run.do_match
+    mine_main, do_match, mine_fruits = _Run._mine_main, _Run.do_match, _Run._mine_fruits
 
     def honest_on_branch(self, att, miner, heavy):
         paths.add(("honest", heavy))
@@ -216,6 +216,23 @@ def pinned_runs():
             paths.add("match into tie")
         do_match(self, att)
 
+    def fruits(self, leaders, lane_tie, first, lo, hi):
+        # The fruit path credits its fruits in stretches: a new honest entry
+        # pointing at a released branch's tip is an honest fruit on that
+        # branch, and a new entry in a racing owner's pool is the owner's.
+        tie = self.tie
+        if tie is None:
+            return mine_fruits(self, leaders, lane_tie, first, lo, hi)
+        pools = [self.pending_fruits] + [a.pending_fruits for a in tie.alts]
+        before = [len(p) for p in pools]
+        mine_fruits(self, leaders, lane_tie, first, lo, hi)
+        tips = [a.blocks[-1][BID] for a in tie.alts]
+        if any(f[1] in tips for f in self.pending_fruits[before[0]:]):
+            paths.add(("honest", False))
+        for a, tip, pool, n in zip(tie.alts, tips, pools[1:], before[1:]):
+            if any(f[1] == tip for f in pool[n:]):
+                paths.add(("owner", False))
+
     configs = {p: quick_config(p, alpha=0.15, gamma=0.5, rounds=100_000, seed=28, attackers=3)
                for p in ("nakamoto", "strongchain", "fruitchain")}
     configs["fruitchain-rival"] = rival_attacker_config(
@@ -224,7 +241,7 @@ def pinned_runs():
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         for name, wrapper in [("_extend_alt", honest_on_branch), ("_mine_private", private),
-                              ("_mine_main", main), ("do_match", match)]:
+                              ("_mine_main", main), ("do_match", match), ("_mine_fruits", fruits)]:
             mp.setattr(_Run, name, wrapper)
         for name, cfg in configs.items():
             paths.clear()
@@ -543,22 +560,24 @@ def _released_fruit_branch():
     attacker's fruit (0, 2, 2) and block 5 the honest fruit (1, 4, 4).
     The attacker's branch from height 3 has blocks 40 and 41, embedding its
     fruits (0, 3, 3) and (0, 40, 4), and is level with the main line.  The
-    public pool holds (1, 3, 3); an honest miner then mines the fruit
-    (1, 41, 5) on the released branch and (1, 5, 5) on the main-line tip.
+    public pool holds (1, 3, 3); an honest miner then mines two fruit
+    rounds, whose tie lanes put the fruit (1, 41, 5) on the released branch
+    (a draw below gamma 0.5) and (1, 5, 5) on the main-line tip.  Every
+    fruit-pool entry here counts one fruit.
     """
     run = _Run(quick_config("fruitchain", alpha=0.1), 0, collect_records=False)
     r = run.fruit_ratio
     run.chain = [(0, -1, 0, None), (1, 1, r, []), (2, 1, 2 * r, []), (3, 1, 3 * r, []),
-                 (4, 1, 4 * r + 1, [(0, 2, 2)]), (5, 1, 5 * r + 2, [(1, 4, 4)])]
+                 (4, 1, 4 * r + 1, [(0, 2, 2, 1)]), (5, 1, 5 * r + 2, [(1, 4, 4, 1)])]
     att = run.attackers[0]
     att.anchor_index, att.anchor_bid = 3, 3
-    att.blocks = [(40, 0, 4 * r + 1, [(0, 3, 3)]), (41, 0, 5 * r + 2, [(0, 40, 4)])]
+    att.blocks = [(40, 0, 4 * r + 1, [(0, 3, 3, 1)]), (41, 0, 5 * r + 2, [(0, 40, 4, 1)])]
     att.units = 2 * r + 2
     run.next_bid = 50
-    run.pending_fruits = [(1, 3, 3)]
+    run.pending_fruits = [(1, 3, 3, 1)]
     run.do_match(att)
-    run._extend_alt(att, 1, heavy=False)
-    run._mine_main(1, heavy=False)
+    run._mine_fruits([1, 1], [0.0, 0.99], 0, 0, 2)
+    assert sorted(run.pending_fruits) == [(1, 3, 3, 1), (1, 5, 5, 1), (1, 41, 5, 1)]
     return run, att
 
 
@@ -568,10 +587,10 @@ def test_an_honest_block_on_a_released_fruit_branch_wins_with_its_fruits():
     assert run.tie is None
     assert [b[BID] for b in run.chain] == [0, 1, 2, 3, 40, 41, 50]
     # The fruit mined on the branch and the one at the anchor are embedded.
-    assert sorted(run.chain[-1][EMB]) == [(1, 3, 3), (1, 41, 5)]
+    assert sorted(run.chain[-1][EMB]) == [(1, 3, 3, 1), (1, 41, 5, 1)]
     # The replaced blocks' fruit below the anchor stays public; fruits
     # pointing at the replaced blocks 4 and 5 leave.
-    assert run.pending_fruits == [(0, 2, 2)]
+    assert run.pending_fruits == [(0, 2, 2, 1)]
 
 
 def test_the_owners_block_publishes_the_honest_fruits_on_its_branch():
@@ -579,9 +598,9 @@ def test_the_owners_block_publishes_the_honest_fruits_on_its_branch():
     assert run._mine_private(att, heavy=True) == run.fruit_ratio
     run.do_override(att)
     assert [b[BID] for b in run.chain] == [0, 1, 2, 3, 40, 41, 50]
-    assert sorted(run.pending_fruits) == [(0, 2, 2), (1, 3, 3), (1, 41, 5)]
+    assert sorted(run.pending_fruits) == [(0, 2, 2, 1), (1, 3, 3, 1), (1, 41, 5, 1)]
     run._mine_main(1, heavy=True)
-    assert sorted(run.chain[-1][EMB]) == [(0, 2, 2), (1, 3, 3), (1, 41, 5)]
+    assert sorted(run.chain[-1][EMB]) == [(0, 2, 2, 1), (1, 3, 3, 1), (1, 41, 5, 1)]
 
 
 def test_a_losing_fruit_branch_takes_its_honest_fruits_with_it():
@@ -591,11 +610,11 @@ def test_a_losing_fruit_branch_takes_its_honest_fruits_with_it():
     assert cascade_release(run.attackers, run) == [(0, ADOPT)]
     # The attacker keeps its fruit embedded in its dropped block 40 whose
     # pointer is canonical; the one pointing at its block 40 dies.
-    assert att.pending_fruits == [(0, 3, 3)]
+    assert att.pending_fruits == [(0, 3, 3, 1)]
     run._mine_main(1, heavy=True)
     assert [b[BID] for b in run.chain] == [0, 1, 2, 3, 4, 5, 50, 51]
-    assert sorted(run.chain[-2][EMB]) == [(1, 3, 3), (1, 5, 5)]
-    assert all((1, 41, 5) not in b[EMB] for b in run.chain[1:])
+    assert sorted(run.chain[-2][EMB]) == [(1, 3, 3, 1), (1, 5, 5, 1)]
+    assert all((1, 41, 5, 1) not in b[EMB] for b in run.chain[1:])
 
 
 def test_rewards_that_overflow_float_arithmetic_are_a_config_error():
@@ -638,13 +657,16 @@ print(status_mb("VmHWM") - imported)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux /proc")
-@pytest.mark.parametrize("run", [
-    pytest.param(("nakamoto", 1, 0.25, 0.5), id="nakamoto"),
-    pytest.param(("fruitchain", 1, 0.25, 0.5), id="fruitchain"),
+@pytest.mark.parametrize("run,bound_mb", [
+    pytest.param(("nakamoto", 1, 0.25, 0.5), 5.0, id="nakamoto"),
+    pytest.param(("fruitchain", 1, 0.25, 0.5), 5.0, id="fruitchain"),
     # Three attackers below the race onset: no branch stays ahead for long.
-    pytest.param(("strongchain", 3, 0.23, 0.0), id="strongchain-k3"),
+    pytest.param(("strongchain", 3, 0.23, 0.0), 5.0, id="strongchain-k3"),
+    # A race: its chain grows with the run.  Counted fruit-pool entries
+    # hold it near 58 MB; one tuple per fruit took 111 MB.
+    pytest.param(("fruitchain", 5, 0.19, 0.0), 75.0, id="fruitchain-k5-race"),
 ])
-def test_million_round_run_adds_little_over_the_imports(run):
+def test_million_round_run_adds_little_over_the_imports(run, bound_mb):
     # A run holds one chunk of lanes and live blocks, so a million rounds
     # add little to what the imports already hold.  A race, where one
     # withheld branch stays ahead for the whole run, keeps its contested
@@ -655,4 +677,4 @@ def test_million_round_run_adds_little_over_the_imports(run):
         [sys.executable, "-c", _RSS_GROWTH_MB, *map(str, run)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert float(out.stdout) <= 5.0
+    assert float(out.stdout) <= bound_mb

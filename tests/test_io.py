@@ -344,6 +344,18 @@ def test_failed_write_cleans_up_partials(tmp_path):
     assert (out / "plotdata").read_text(encoding="utf-8") == "in the way"
 
 
+def test_failed_rerun_keeps_the_earlier_runs_files(tmp_path):
+    out = tmp_path / "out"
+    write_results([], {}, out)
+    earlier = {name: (out / name).read_bytes() for name in ("results.csv", "thresholds.json")}
+    (out / "manifest.json").unlink()
+    (out / "manifest.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_results([], {}, out)
+    assert {name: (out / name).read_bytes() for name in earlier} == earlier
+    assert (out / "manifest.json").is_dir()
+
+
 def test_describe_digest_shapes():
     sim = symmetric_attacker_config(ProtocolName.NAKAMOTO, 1, 0.3, master_seed=1)
     sweep = SweepConfig(protocol=ProtocolName.NAKAMOTO, alpha_grid=(0.2,),

@@ -65,7 +65,7 @@ def _mine_block_over_fruit(chain_height, pointer_height):
     """Honest block mined at ``chain_height`` over one pending fruit."""
     run = _Run(quick_config("fruitchain"), 0, collect_records=False)
     run.chain = [(h, h - 1, 10 * h, None) for h in range(chain_height)]
-    run.pending_fruits = [(1, pointer_height, pointer_height)]
+    run.pending_fruits = [(1, pointer_height, pointer_height, 1)]
     run._mine_main(0, True)
     assert run.pending_fruits == []
     return run.chain[-1][EMB]
@@ -74,7 +74,7 @@ def _mine_block_over_fruit(chain_height, pointer_height):
 def test_fruit_freshness_boundary():
     window = balanced_fruit_params().freshness_window
     h = 3
-    assert _mine_block_over_fruit(h + window, h) == [(1, h, h)]
+    assert _mine_block_over_fruit(h + window, h) == [(1, h, h, 1)]
     assert _mine_block_over_fruit(h + window + 1, h) == []
 
 
@@ -82,10 +82,19 @@ def test_fruitchain_reward_arithmetic():
     params = balanced_fruit_params()
     blocks = [
         (1, 0, 10, None),
-        (2, 1, 21, [(0, 1, 1)]),
+        (2, 1, 21, [(0, 1, 1, 1)]),
     ]
     rewards = _tally("fruitchain", blocks, attackers=2, params=params)
     assert rewards == pytest.approx([1.1, 1.0, 0.0])
+
+
+def test_a_counted_fruit_entry_pays_one_addition_per_fruit():
+    # Ten additions of 0.1 sum to 0.9999999999999999; the product 10 * 0.1
+    # would pay 1.0 and move the rewards of a run whose fruits were mined
+    # one round at a time.
+    params = FruitchainParams(block_reward=0.0, fruit_reward=0.1)
+    rewards = _tally("fruitchain", [(1, 0, 20, [(1, 0, 0, 10)])], params=params)
+    assert rewards[1] == 0.9999999999999999
 
 
 def test_orphaned_fruit_pays_nothing():
@@ -106,7 +115,7 @@ def test_reward_split_presets():
     # one block embedding fruit_ratio fruits carries a full interval's reward
     fruit_heavy = FruitchainParams(10, 10, 1.0, 1.0)
     for params, block_share in ((balanced_fruit_params(), 0.5), (fruit_heavy, 1 / 11)):
-        fruits = [(1, 0, 0)] * params.fruit_ratio
+        fruits = [(1, 0, 0, params.fruit_ratio)]
         rewards = _tally("fruitchain", [(1, 0, 20, fruits)], params=params)
         assert rewards[0] / sum(rewards) == pytest.approx(block_share)
 
