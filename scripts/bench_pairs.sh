@@ -9,9 +9,17 @@
 # checkout, for the `run_seconds` that CHANGE_DIR/BENCHMARK.json sets; odd
 # pairs run the parent first, even pairs the change.  For each end-to-end
 # metric of BENCHMARK.json it then prints the median and quartiles of each
-# side, the change of the medians, the parent's interquartile range and the
-# pairs the change won (a tie counts for neither side).  Exits non-zero if a
-# run fails or reports `"correct": false` or a failed run.
+# side, the change of the medians, the parent's interquartile range, the
+# pairs the change won (a tie counts for neither side) and a verdict, with
+# the metric's `bound` from BENCHMARK.json, checked in this order:
+#   gain          the change wins at least 9/10 of the pairs and its median
+#                 is better than the parent's by more than the parent's IQR;
+#   worse         the change's median is worse than the parent's by more
+#                 than `bound` (a fraction of the parent's median);
+#   unresolved    the parent's IQR exceeds `bound` times its median, and not
+#                 every change run beats every parent run;
+#   within bound  anything else.
+# Exits non-zero if a run fails or reports `"correct": false` or a failed run.
 set -euo pipefail
 
 if [ $# -ne 5 ]; then
@@ -62,10 +70,25 @@ def spread(values):
     return statistics.median(values), q1, q3
 
 
+def verdict(pv, cv, wins, bound, lower):
+    """The change's verdict on one metric (see the header of this script)."""
+    (pm, p1, p3), (cm, _, _) = spread(pv), spread(cv)
+    gap = (pm - cm) if lower else (cm - pm)  # positive when the change is better
+    if wins >= 0.9 * len(pv) and gap > p3 - p1:
+        return "gain"
+    if -gap > bound * abs(pm):
+        return "worse"
+    beats_all = max(cv) < min(pv) if lower else min(cv) > max(pv)
+    if p3 - p1 > bound * abs(pm) and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 n = len(sides["parent"])
 print(f"{workload} seed {seed}, {n} pairs")
-print("| metric | parent median [q1, q3] | change median [q1, q3] | change | parent IQR | wins |")
-print("|---|---|---|---|---|---|")
+print("| metric | parent median [q1, q3] | change median [q1, q3] | change | parent IQR | wins "
+      "| verdict |")
+print("|---|---|---|---|---|---|---|")
 for m in metrics:
     name, lower = m["name"], m["better"] == "lower"
     pv = [r["metrics"][name]["value"] for r in sides["parent"]]
@@ -74,7 +97,7 @@ for m in metrics:
     wins = sum((c < p) if lower else (c > p) for p, c in zip(pv, cv))
     rel = (cm - pm) / pm if pm else float("nan")
     print(f"| {name} | {pm:.4g} [{p1:.4g}, {p3:.4g}] | {cm:.4g} [{c1:.4g}, {c3:.4g}] "
-          f"| {rel:+.3f} | {p3 - p1:.4g} | {wins}/{n} |")
+          f"| {rel:+.3f} | {p3 - p1:.4g} | {wins}/{n} | {verdict(pv, cv, wins, m['bound'], lower)} |")
 if bad:
     print(f"runs not correct or with failed runs: {bad}", file=sys.stderr)
     sys.exit(1)

@@ -22,6 +22,13 @@ react once more through the same cascade, with no bound on the override
 lead, so every branch strictly stronger than the public chain from a live
 anchor is published.
 
+``_Run.held`` lists the attackers that withhold: one joins where it anchors
+at the public tip (``_mine_private``), keeping its anchor block's ``cum``, and
+leaves where it floats again (``do_adopt``, ``do_override``).  Only
+``do_override`` replaces canonical blocks, those above the releaser's anchor,
+so it marks the held attackers anchored higher up; the round's cascade adopts
+them.
+
 Heights are absolute; the run holds only the live suffix of the canonical
 chain, ``chain[h - base]`` being the block at height ``h``.  At each chunk
 start, blocks below the lowest live anchor (a withheld or released branch's,
@@ -179,25 +186,21 @@ class _Run:
         self.pending_fruits = []  # (miner, pointer bid, pointer height, count), published
         self.tie: Optional[Tie] = None
         self.attackers = [AttackerState(i) for i in config.selfish_ids]
+        self.held = []  # the attackers with an anchor, in no particular order
         self.att_of = [None] * n  # miner id -> its AttackerState, None for an honest miner
         for a in self.attackers:
             self.att_of[a.id] = a
 
     # -- chain view used by strategy.cascade_release ---------------------
 
-    def public_units_from(self, att: AttackerState) -> Optional[int]:
-        """Public strength past the attacker's anchor; None once a release orphaned it."""
-        i = att.anchor_index - self.base
-        chain = self.chain
-        if 0 <= i < len(chain):
-            anchor = chain[i]
-            if anchor[BID] == att.anchor_bid:
-                return chain[-1][CUM] + len(self.pending_wh) - anchor[CUM]
-        return None
+    def public_units(self) -> int:
+        """Public strength: the tip's ``cum`` plus the weak headers pending on it."""
+        return self.chain[-1][CUM] + len(self.pending_wh)
 
     def do_adopt(self, att: AttackerState) -> None:
         """Drop the attacker's branch; its fruit pool keeps what is still mineable."""
         dropped = att.blocks
+        self.held.remove(att)
         att.reset()
         if self.fruit:
             att.pending_fruits = self._mineable(att.pending_fruits, dropped)
@@ -207,12 +210,18 @@ class _Run:
 
         Ends any tie, hands the branch's pending weak headers to the public
         tip, keeps in the public fruit pool what is still mineable on the
-        new chain, and floats the attacker again.
+        new chain, floats the attacker again and marks as orphaned
+        (``anchor_cum`` None) every held attacker anchored above its anchor.
         """
         pend_wh = [att.id] * att.pending_count
         self.tie = None
+        anchor = att.anchor_index
+        self.held.remove(att)
+        for a in self.held:
+            if a.anchor_index > anchor:
+                a.anchor_cum = None
         chain = self.chain
-        cut = att.anchor_index + 1 - self.base
+        cut = anchor + 1 - self.base
         dead = chain[cut:] if self.fruit else None
         del chain[cut:]
         chain.extend(att.blocks)
@@ -399,13 +408,14 @@ class _Run:
         blocks = att.blocks
         if att.anchor_index < 0:
             att.anchor_index = self.base + len(self.chain) - 1
-            att.anchor_bid = self.chain[-1][BID]
+            att.anchor_cum = self.chain[-1][CUM]
+            self.held.append(att)
         if not heavy:
             att.pending_count += 1
             att.units += 1
             return 1
         anchor = att.anchor_index
-        parent_cum = blocks[-1][CUM] if blocks else self.chain[anchor - self.base][CUM]
+        parent_cum = blocks[-1][CUM] if blocks else att.anchor_cum
         if self.fruit:
             emb, _, gain = self._embeddable(att.pending_fruits, anchor, blocks)
             att.pending_fruits = []
@@ -450,20 +460,18 @@ class _Run:
         An open tie closes first: exact ties stand with the public chain.
         Every branch strictly stronger than the public chain from its live
         anchor is published, weakest first, so a stronger rival can still
-        override the result.  An attacker whose anchor a release orphans
-        adopts, as it does mid-run, however strong its branch.
+        override the result.  An attacker in ``held`` whose anchor a release
+        orphans (``do_override`` marks it) adopts, as it does mid-run,
+        however strong its branch.
         """
         self.tie = None
         self.quantum_units = float("inf")
-        cascade_release(self.attackers, self)
+        cascade_release(self.held, self)
 
     def _max_height(self) -> int:
         h = self.base + len(self.chain) - 1
-        for a in self.attackers:
-            if not a.floating:
-                ah = a.anchor_index + len(a.blocks)
-                if ah > h:
-                    h = ah
+        for a in self.held:
+            h = max(h, a.anchor_index + len(a.blocks))
         return h
 
     # -- settled blocks ----------------------------------------------------
@@ -476,10 +484,7 @@ class _Run:
 
     def _fold(self) -> None:
         """Fold the blocks below the lowest live anchor into ``folded``; drop them."""
-        safe = self.base + len(self.chain) - 1
-        for a in self.attackers:
-            if not a.floating and a.anchor_index < safe:
-                safe = a.anchor_index
+        safe = min([self.base + len(self.chain) - 1] + [a.anchor_index for a in self.held])
         if self.fruit:
             safe -= self.window - 1
         cut = safe - self.base
@@ -500,7 +505,7 @@ class _Run:
         p_heavy = self.p_heavy
         cum_powers = self.cum_powers
         att_of = self.att_of
-        attackers = self.attackers
+        held = self.held
         collect = self.collect
         kind_names = KIND_NAMES[self.proto]
 
@@ -554,10 +559,8 @@ class _Run:
                             # ``ratio`` of them weaken the main line, and the
                             # first released branch wins.
                             self.do_override(tie.alts[0])
-                    for a in attackers:  # the cascade has nothing to do while all float
-                        if a.anchor_index >= 0:
-                            acts = cascade_release(attackers, self)
-                            break
+                    if held:  # the cascade has nothing to do while all float
+                        acts = cascade_release(held, self)
                 if collect:
                     moves = (() if own is None else ((leader, own),)) + tuple(acts)
                     self.records.append(RoundRecord(first + j, leader, kind_names[heavy], moves))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
+from typing import Optional
 
 class Action(str, Enum):
     ADOPT = "adopt"
@@ -30,28 +31,25 @@ _SCAN_ORDER = attrgetter("units", "id")
 class AttackerState:
     """Mutable per-attacker bookkeeping used by the engine.
 
-    ``anchor_index`` / ``anchor_bid`` locate the public block the private
-    branch extends; index -1 means no commitment yet (the attacker floats
-    with the public tip).  ``units`` is the withheld strength in protocol
-    units.  ``pending_count`` holds unembedded private weak headers,
+    ``anchor_index`` is the height of the public block the private branch
+    extends, -1 while the attacker floats with the public tip; ``anchor_cum``
+    is that block's ``cum``, None once a release orphans it.  ``units`` is
+    the withheld strength past the anchor, in protocol units.
+    ``pending_count`` holds unembedded private weak headers,
     ``pending_fruits`` unembedded private fruits as (miner, pointer id,
-    pointer height, count) entries, the public pool's format.  A branch that loses a tie
-    (``engine.Tie``) is withheld again with everything it held, weak headers
-    included.  ``reset`` empties the branch after an adopt, a release or a
-    won tie.
+    pointer height, count) entries, the public pool's format.  A branch that
+    loses a tie (``engine.Tie``) is withheld again with everything it held,
+    weak headers included.  ``reset`` empties the branch after an adopt, a
+    release or a won tie.
     """
 
     id: int
     anchor_index: int = -1
-    anchor_bid: int = -1
+    anchor_cum: Optional[int] = None
     blocks: list = field(default_factory=list)
     units: int = 0
     pending_count: int = 0
     pending_fruits: list = field(default_factory=list)
-
-    @property
-    def floating(self) -> bool:
-        return self.anchor_index < 0
 
     def reset(self) -> None:
         """Drop the withheld branch and float again; pending fruits stay."""
@@ -59,7 +57,7 @@ class AttackerState:
         self.units = 0
         self.pending_count = 0
         self.anchor_index = -1
-        self.anchor_bid = -1
+        self.anchor_cum = None
 
 
 def decide_action(
@@ -89,50 +87,45 @@ def decide_action(
     return WAIT
 
 
-def cascade_release(attackers, chain) -> list:
+def cascade_release(held: list, chain) -> list:
     """Run reactions to a public advance until the public state settles.
 
-    Attackers are scanned in ascending withheld-strength order (id breaks
-    ties) so that a weaker release happens first and a stronger rival can
-    override it, as in chained-override races.  Adopts only mutate attacker
-    state.  A match moves no public strength and no anchor, so the scan
-    continues past it; only an override changes the public chain, and it
-    restarts the scan.  An attacker whose anchor a release orphaned adopts,
-    however strong its branch.  No cascade starts with a tie open, so none
-    reads tie state: the engine calls it after a public advance, which
-    closes any tie, and settlement closes the tie first.  When no attacker
-    withholds, the call returns at once without reading ``chain``; mid-run
-    the engine does not call it then, but settlement does.  ``chain``
-    supplies the protocol view: ``public_units_from(att)``, the public
-    strength past the attacker's anchor or None once that anchor is
-    orphaned, the override quantum and the three state mutations.  The
-    engine settles a run with one more call whose quantum is unbounded, so
-    every branch ahead of the public chain from a live anchor is published.
-    Returns the executed actions as (attacker id, Action) pairs.
+    ``held`` is the engine's list of withholding attackers, in any order;
+    ``chain.do_adopt`` and ``chain.do_override`` drop theirs from it in
+    place.  Each pass scans it in ascending withheld-strength order (id
+    breaks ties) so that a weaker release happens first and a stronger rival
+    can override it, as in chained-override races.  Adopts only mutate
+    attacker state.  A match moves no public strength and no anchor, so the
+    scan continues past it; only an override changes the public chain, and
+    it restarts the scan.  An attacker marked orphaned (``anchor_cum`` None)
+    adopts at its place in the scan, however strong its branch.  No cascade
+    starts with a tie open, so none reads tie state: the engine calls it
+    after a public advance, which closes any tie, and settlement closes the
+    tie first.  With ``held`` empty it returns without reading ``chain``.
+    ``chain`` supplies ``public_units()``, the public strength read once per
+    pass; ``quantum_units``, the override bound (unbounded at settlement, so
+    every branch ahead from a live anchor is published); and the mutations
+    ``do_adopt``, ``do_override`` and ``do_match``.  Returns the executed
+    actions as (attacker id, Action) pairs.
 
-    The loop is bounded: every override consumes withheld strength, so
-    more than ``2 * len(attackers) + 2`` restarts mark an internal error.
+    The loop is bounded: an override floats its attacker and nothing
+    anchors during a cascade, so more than ``2 * len(held) + 2`` restarts
+    (``held`` counted at entry) mark an internal error.
     """
     actions = []
     restarts = 0
-    limit = 2 * len(attackers) + 2
-    while True:
-        held = []
-        for a in attackers:
-            if a.anchor_index >= 0:
-                held.append(a)
-        if not held:
-            return actions
-        if len(held) > 1:
-            held.sort(key=_SCAN_ORDER)
-        for att in held:
-            public_units = chain.public_units_from(att)
-            if public_units is None:
+    limit = 2 * len(held) + 2
+    while held:
+        public = chain.public_units()
+        quantum = chain.quantum_units
+        for att in sorted(held, key=_SCAN_ORDER):
+            anchor_cum = att.anchor_cum
+            if anchor_cum is None:
                 verdict = ADOPT
             else:
                 # Bare weak headers cannot form a competing chain: only a
                 # withheld block gives a level attacker something to match with.
-                verdict = decide_action(att.units, public_units, bool(att.blocks), chain.quantum_units)
+                verdict = decide_action(att.units, public - anchor_cum, bool(att.blocks), quantum)
             if verdict is ADOPT:
                 chain.do_adopt(att)
                 actions.append((att.id, ADOPT))
@@ -148,3 +141,4 @@ def cascade_release(attackers, chain) -> list:
         restarts += 1
         if restarts > limit:
             raise RuntimeError("cascade failed to settle; withheld-strength invariant broken")
+    return actions

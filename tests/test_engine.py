@@ -24,7 +24,7 @@ from selfishsim.config import (
 )
 from selfishsim.engine import BID, CUM, EMB, _Run, run_simulation
 from selfishsim.rng import stream_uniforms
-from selfishsim.strategy import ADOPT, OVERRIDE, cascade_release
+from selfishsim.strategy import ADOPT, MATCH, cascade_release
 
 THREE_MINERS = (
     MinerSpec(0, 0.2, MinerKind.HONEST),
@@ -272,21 +272,39 @@ def test_cascade_runs_only_while_an_attacker_withholds(monkeypatch, protocol, at
     cfg = quick_config(protocol, alpha=0.2, rounds=3000, seed=28, attackers=attackers)
     plain = run_simulation(cfg, collect_records=True)
     mid_run = []
+    anchor_bid = {}  # attacker id -> the bid of the block it last anchored on
+    orphaned = []
 
-    def withholding_only(states, chain):
+    def anchoring(self, att, heavy):
+        if att.anchor_index < 0:
+            anchor_bid[att.id] = self.chain[-1][BID]
+        return mine_private(self, att, heavy)
+
+    def withholding_only(held, chain):
         if chain.quantum_units != float("inf"):  # settlement calls whoever withholds
-            assert any(not a.floating for a in states)
+            assert held
             mid_run.append(chain)
-        # No cascade starts in a tie, and a branch counts exactly the
-        # strength it holds, pending weak headers included.
+        # No cascade starts in a tie.  The held list is the engine's own and
+        # holds exactly the anchored attackers.  An anchor is marked exactly
+        # when the chain no longer holds its block; a live one keeps that
+        # block's strength, and a branch counts exactly the strength it
+        # holds, pending weak headers included.
         assert chain.tie is None
-        for a in states:
-            if chain.public_units_from(a) is not None:  # a live anchor
-                anchor_cum = chain.chain[a.anchor_index - chain.base][CUM]
-                top = a.blocks[-1][CUM] if a.blocks else anchor_cum
-                assert a.units == top - anchor_cum + a.pending_count
-        return cascade_release(states, chain)
+        assert held is chain.held
+        assert sorted(a.id for a in held) == [a.id for a in chain.attackers if a.anchor_index >= 0]
+        for a in held:
+            i = a.anchor_index - chain.base
+            if 0 <= i < len(chain.chain) and chain.chain[i][BID] == anchor_bid[a.id]:
+                assert a.anchor_cum == chain.chain[i][CUM]
+                top = a.blocks[-1][CUM] if a.blocks else a.anchor_cum
+                assert a.units == top - a.anchor_cum + a.pending_count
+            else:
+                assert a.anchor_cum is None
+                orphaned.append(a.id)
+        return cascade_release(held, chain)
 
+    mine_private = _Run._mine_private
+    monkeypatch.setattr(_Run, "_mine_private", anchoring)
     monkeypatch.setattr(engine, "cascade_release", withholding_only)
     calls = collections.Counter()
     counted = [(engine, "RoundLanes"), (engine, "config_digest"),
@@ -299,6 +317,9 @@ def test_cascade_runs_only_while_an_attacker_withholds(monkeypatch, protocol, at
         monkeypatch.setattr(mod, name, counting)
     wrapped = run_simulation(cfg, collect_records=True)
     assert mid_run
+    if (protocol, attackers) == ("nakamoto", 3):
+        # Won ties orphan anchors before their round's cascade starts.
+        assert orphaned
     assert all(calls[target] for target in counted)
     assert _record_digest(wrapped.records) == _record_digest(plain.records)
     assert wrapped.rewards == plain.rewards
@@ -413,7 +434,11 @@ def _folding_run(monkeypatch, cfg):
     fold = _Run._fold
 
     def logging_fold(self):
-        live = {(a.id, a.anchor_index, a.anchor_bid) for a in self.attackers if not a.floating}
+        # Every override is followed by a cascade in its round, so no
+        # orphaned anchor is left at a fold.
+        assert all(a.anchor_cum is not None for a in self.held)
+        live = {(a.id, a.anchor_index, self.chain[a.anchor_index - self.base][BID])
+                for a in self.held}
         folds.append((self.tie is not None, live))
         fold(self)
 
@@ -462,46 +487,57 @@ def test_folding_keeps_an_anchor_held_across_folds(monkeypatch, protocol, gamma)
     assert any(held[i] & held[i + 1] & held[i + 2] for i in range(len(held) - 2))
 
 
+def _anchor(run, att, height):
+    """Anchor a hand-built attacker at ``height`` the way ``_Run._mine_private`` does."""
+    att.anchor_index = height
+    att.anchor_cum = run.chain[height - run.base][CUM]
+    run.held.append(att)
+
+
 @pytest.mark.parametrize("protocol", ["nakamoto", "fruitchain"])
 def test_fold_stops_at_the_lowest_live_anchor(protocol):
     # A bare public chain of 60 honest blocks over genesis.
     run = _Run(quick_config(protocol, alpha=0.1, attackers=3), 0, collect_records=False)
     run.chain = [(0, -1, 0, None)] + [(h, 3, h, None) for h in range(1, 61)]
-    run.attackers[1].anchor_index, run.attackers[1].anchor_bid = 40, 40
-    run.attackers[2].anchor_index, run.attackers[2].anchor_bid = 30, 30
+    _anchor(run, run.attackers[1], 40)
+    _anchor(run, run.attackers[2], 30)
     run._fold()
     window = run.window if protocol == "fruitchain" else 1
     assert run.base == 30 - (window - 1)
     assert run.chain[0][BID] == run.base
     assert run.folded == [0.0, 0.0, 0.0, float(run.base)]
-    assert run.public_units_from(run.attackers[1]) is not None
-    assert run.public_units_from(run.attackers[2]) is not None
-    run.attackers[2].reset()
+    assert run.chain[40 - run.base][BID] == 40 and run.chain[30 - run.base][BID] == 30
+    run.do_adopt(run.attackers[2])
     run._fold()
     assert run.base == 40 - (window - 1)
     assert run._result(0, 0).rewards == [0.0, 0.0, 0.0, 60.0]
 
 
 def test_an_orphaned_anchor_has_no_public_strength_and_adopts():
-    # Five honest blocks; attacker 0 holds 5 blocks from height 1 (public 4,
-    # so it overrides), attacker 1 holds 6 from height 3 (public 2, so it
-    # waits).  Attacker 0 is weaker, so it releases first and cuts at height
-    # 2, below attacker 1's anchor.
-    run = _Run(quick_config("nakamoto", alpha=0.1, attackers=2), 0, collect_records=False)
-    run.chain = [(0, -1, 0, None)] + [(h, 2, h, None) for h in range(1, 6)]
-    for att, (anchor, n) in zip(run.attackers, [(1, 5), (3, 6)]):
-        att.anchor_index, att.anchor_bid = anchor, anchor
+    # Five honest blocks and three branches: attacker 0 holds 4 blocks from
+    # height 2 (public 3, so it would override), attacker 1 holds 3 from
+    # height 3 (public 2, so it overrides) and attacker 2 holds 7 from
+    # height 4 (public 1, so it waits).  Attacker 1's release cuts at height
+    # 3: it keeps attacker 0's anchor and orphans attacker 2's.
+    run = _Run(quick_config("nakamoto", alpha=0.1, attackers=3), 0, collect_records=False)
+    run.chain = [(0, -1, 0, None)] + [(h, 3, h, None) for h in range(1, 6)]
+    for att, (anchor, n) in zip(run.attackers, [(2, 4), (3, 3), (4, 7)]):
+        _anchor(run, att, anchor)
         att.blocks = [(10 * (att.id + 1) + j, att.id, anchor + 1 + j, ()) for j in range(n)]
         att.units = n
-    first, rival = run.attackers
-    assert run.public_units_from(first) == 4
-    assert run.public_units_from(rival) == 2
-    assert cascade_release([first], run) == [(0, OVERRIDE)]
-    assert run.chain[3 - run.base][BID] != rival.anchor_bid
-    assert run.public_units_from(rival) is None
-    assert cascade_release(run.attackers, run) == [(1, ADOPT)]
-    assert rival.floating and rival.units == 0
-    assert [b[BID] for b in run.chain] == [0, 1] + list(range(10, 15))
+    low, mid, high = run.attackers
+    assert [run.public_units() - a.anchor_cum for a in run.attackers] == [3, 2, 1]
+    run.do_override(mid)
+    assert [b[BID] for b in run.chain] == [0, 1, 2, 3, 20, 21, 22]
+    assert high.anchor_cum is None
+    assert low.anchor_cum == 2
+    assert sorted(a.id for a in run.held) == [0, 2]
+    # The next pass scans by withheld strength: attacker 0, now level,
+    # matches, then the stronger attacker 2 adopts for its orphaned anchor.
+    assert cascade_release(run.held, run) == [(0, MATCH), (2, ADOPT)]
+    assert high.anchor_index < 0 and high.units == 0
+    assert run.held == [low]
+    assert [b[BID] for b in run.chain] == [0, 1, 2, 3, 20, 21, 22]
 
 
 def _settling_run():
@@ -517,7 +553,7 @@ def _settling_run():
     run = _Run(quick_config("nakamoto", alpha=0.1, attackers=4), 0, collect_records=False)
     run.chain = [(0, -1, 0, None)] + [(h, 4, h, None) for h in range(1, 6)]
     for att, (anchor, n) in zip(run.attackers, [(1, 6), (3, 3), (4, 5), (0, 7)]):
-        att.anchor_index, att.anchor_bid = anchor, anchor
+        _anchor(run, att, anchor)
         att.blocks = [(10 * (att.id + 1) + j, att.id, anchor + 1 + j, ()) for j in range(n)]
         att.units = n
     published = []
@@ -536,7 +572,7 @@ def test_settlement_publishes_the_weaker_branch_first():
     run, published = _settling_run()
     assert published == [1, 0]
     assert [b[BID] for b in run.chain] == [0, 1] + list(range(10, 16))
-    assert run.public_units_from(run.attackers[3]) == 7
+    assert run.public_units() - run.attackers[3].anchor_cum == 7
     assert run._result(0, 0).rewards == [6.0, 0.0, 0.0, 0.0, 1.0]
 
 
@@ -550,7 +586,8 @@ def test_settlement_keeps_a_level_branch_and_drops_an_orphaned_anchor():
     run, published = _settling_run()
     assert 2 not in published and 3 not in published
     assert {b[BID] for b in run.chain}.isdisjoint(range(30, 47))
-    assert run.attackers[3].units == run.public_units_from(run.attackers[3])
+    assert run.attackers[3].units == run.public_units() - run.attackers[3].anchor_cum
+    assert run.held == [run.attackers[3]]
 
 
 def _released_fruit_branch():
@@ -570,7 +607,7 @@ def _released_fruit_branch():
     run.chain = [(0, -1, 0, None), (1, 1, r, []), (2, 1, 2 * r, []), (3, 1, 3 * r, []),
                  (4, 1, 4 * r + 1, [(0, 2, 2, 1)]), (5, 1, 5 * r + 2, [(1, 4, 4, 1)])]
     att = run.attackers[0]
-    att.anchor_index, att.anchor_bid = 3, 3
+    _anchor(run, att, 3)
     att.blocks = [(40, 0, 4 * r + 1, [(0, 3, 3, 1)]), (41, 0, 5 * r + 2, [(0, 40, 4, 1)])]
     att.units = 2 * r + 2
     run.next_bid = 50
@@ -607,7 +644,7 @@ def test_a_losing_fruit_branch_takes_its_honest_fruits_with_it():
     run, att = _released_fruit_branch()
     run._mine_main(1, heavy=True)  # the main line gains, which closes the tie
     run.tie = None
-    assert cascade_release(run.attackers, run) == [(0, ADOPT)]
+    assert cascade_release(run.held, run) == [(0, ADOPT)]
     # The attacker keeps its fruit embedded in its dropped block 40 whose
     # pointer is canonical; the one pointing at its block 40 dies.
     assert att.pending_fruits == [(0, 3, 3, 1)]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import tie_branch_shares
+from selfishsim import strategy
 from selfishsim.strategy import (
     Action,
     AttackerState,
@@ -79,124 +80,143 @@ def test_match_weights_normalise_over_random_draws():
         assert sum(shares) == pytest.approx(1.0, abs=1e-12)
 
 
+PUBLIC = 10  # a scripted chain's public strength before any override
+
+
 class ScriptedChain:
     """Minimal chain view that lets the cascade play out a fixed story.
 
-    ``public`` maps attacker id to the public strength past its anchor,
-    which ``public_units_from`` reports, or None for an attacker in
-    ``dead`` (its anchor orphaned); an override zeroes the owner's gap and
-    adds the published units to every other anchored attacker's gap, like
-    a real reorg would.
+    ``held`` is the list the cascade scans, ``public`` the strength that
+    ``public_units()`` reports; an attacker's gap is ``public`` less its
+    ``anchor_cum``.  Attackers in ``dead`` have their anchors orphaned
+    (``anchor_cum`` None).  An adopt or an override floats its attacker and
+    drops it from ``held``; an override makes the published branch the
+    public chain, ``anchor_cum + units`` strong, like a real reorg would.
     """
 
     quantum_units = 1
 
-    def __init__(self, public, dead=()):
-        self.public = dict(public)
-        self.dead = set(dead)
+    def __init__(self, held, public=PUBLIC, dead=()):
+        self.held = held
+        self.public = public
+        for att in dead:
+            att.anchor_cum = None
         self.log = []
 
-    def public_units_from(self, att):
-        return None if att.id in self.dead else self.public[att.id]
+    def public_units(self):
+        return self.public
 
     def do_adopt(self, att):
         self.log.append((att.id, Action.ADOPT))
-        att.blocks = []
-        att.units = 0
-        att.anchor_index = -1
+        self.held.remove(att)
+        att.reset()
 
     def do_override(self, att):
         self.log.append((att.id, Action.OVERRIDE))
-        for other in self.public:
-            if other != att.id:
-                self.public[other] += att.units
-        att.blocks = []
-        att.units = 0
-        att.anchor_index = -1
+        self.public = att.anchor_cum + att.units
+        self.held.remove(att)
+        att.reset()
 
     def do_match(self, att):
         self.log.append((att.id, Action.MATCH))
 
 
-def _attacker(aid, units, blocks=True):
+def _attacker(aid, units, gap, blocks=True):
+    """A withholding attacker ``units`` strong whose anchor is ``gap`` below ``PUBLIC``."""
     att = AttackerState(aid)
     att.anchor_index = 0
-    att.anchor_bid = 1
+    att.anchor_cum = PUBLIC - gap
     att.units = units
     att.blocks = ["x"] * (units if blocks else 0)
     return att
 
 
 def test_cascade_chained_overrides_weakest_first():
-    a = _attacker(0, 1)
-    b = _attacker(1, 2)
-    chain = ScriptedChain({0: 0, 1: 0})
-    actions = cascade_release([a, b], chain)
+    a = _attacker(0, 1, gap=0)
+    b = _attacker(1, 2, gap=0)
+    held = [a, b]
+    actions = cascade_release(held, ScriptedChain(held))
     # a overrides first (fewer withheld units), pushing the public past its
     # own strength is b's cue to override in turn.
     assert actions == [(0, Action.OVERRIDE), (1, Action.OVERRIDE)]
-    assert a.floating and b.floating
+    assert held == []
+    assert a.anchor_index < 0 and b.anchor_index < 0
 
 
 def test_cascade_breaks_equal_strength_by_id():
     # Listed against id order: a key without the id would release b first.
-    b = _attacker(1, 1)
-    a = _attacker(0, 1)
-    chain = ScriptedChain({0: 0, 1: 0})
-    actions = cascade_release([b, a], chain)
+    b = _attacker(1, 1, gap=0)
+    a = _attacker(0, 1, gap=0)
+    held = [b, a]
+    actions = cascade_release(held, ScriptedChain(held))
     # a overrides by its one unit, which leaves b level and holding a block.
     assert actions == [(0, Action.OVERRIDE), (1, Action.MATCH)]
+    assert held == [b]
 
 
 class CountingChain(ScriptedChain):
-    """Scripted chain that counts the cascade's strength evaluations."""
+    """Scripted chain that counts the cascade's passes (public-strength reads)."""
 
-    def __init__(self, public, dead=()):
-        super().__init__(public, dead)
-        self.evaluations = 0
+    def __init__(self, held, public=PUBLIC, dead=()):
+        super().__init__(held, public, dead)
+        self.passes = 0
 
-    def public_units_from(self, att):
-        self.evaluations += 1
-        return super().public_units_from(att)
+    def public_units(self):
+        self.passes += 1
+        return super().public_units()
 
 
-def test_cascade_scan_continues_past_a_match():
+def test_cascade_scan_continues_past_a_match(monkeypatch):
     # A match moves no public strength and no anchor, so one pass decides
     # all three level attackers; a restart after each match would evaluate
     # 1 + 2 + 3 times, plus a final pass of 3.
-    attackers = [_attacker(i, 2) for i in range(3)]
-    chain = CountingChain({0: 2, 1: 2, 2: 2})
-    actions = cascade_release(attackers, chain)
+    evaluations = []
+
+    def counting(*args):
+        evaluations.append(args)
+        return decide_action(*args)
+
+    monkeypatch.setattr(strategy, "decide_action", counting)
+    held = [_attacker(i, 2, gap=2) for i in range(3)]
+    chain = CountingChain(held)
+    actions = cascade_release(held, chain)
     assert actions == [(0, Action.MATCH), (1, Action.MATCH), (2, Action.MATCH)]
-    assert chain.evaluations == 3
+    assert len(evaluations) == 3
+    assert chain.passes == 1
 
 
 def test_cascade_override_after_a_match_restarts_the_scan():
     # The level attacker matches; its rival, one unit ahead, overrides and
     # leaves the matched branch behind the new public chain, so it adopts.
-    level = _attacker(0, 2)
-    rival = _attacker(1, 3)
-    chain = CountingChain({0: 2, 1: 2})
-    actions = cascade_release([level, rival], chain)
+    level = _attacker(0, 2, gap=2)
+    rival = _attacker(1, 3, gap=2)
+    held = [level, rival]
+    chain = CountingChain(held)
+    actions = cascade_release(held, chain)
     assert actions == [(0, Action.MATCH), (1, Action.OVERRIDE), (0, Action.ADOPT)]
-    assert level.floating and rival.floating
+    assert chain.passes == 2
+    assert held == []
+    assert level.anchor_index < 0 and rival.anchor_index < 0
 
 
 def test_cascade_adopts_on_dead_anchor_and_weak_branch():
-    dead = _attacker(0, 3)
-    behind = _attacker(1, 1)
-    chain = ScriptedChain({0: 0, 1: 2}, dead={0})
-    actions = cascade_release([dead, behind], chain)
-    assert (0, Action.ADOPT) in actions
-    assert (1, Action.ADOPT) in actions
+    # The dead anchor's branch would override were its anchor live.
+    dead = _attacker(0, 3, gap=2)
+    behind = _attacker(1, 1, gap=2)
+    held = [dead, behind]
+    actions = cascade_release(held, ScriptedChain(held, dead=[dead]))
+    assert actions == [(1, Action.ADOPT), (0, Action.ADOPT)]
+    assert held == []
 
 
 def test_cascade_leaves_a_level_attacker_without_blocks_unmatched():
     # Bare weak headers cannot form a competing chain.
-    att = _attacker(0, 2, blocks=False)
-    chain = ScriptedChain({0: 2})
-    assert cascade_release([att], chain) == []
+    att = _attacker(0, 2, gap=2, blocks=False)
+    held = [att]
+    chain = ScriptedChain(held)
+    assert cascade_release(held, chain) == []
     assert chain.log == []
+    assert held == [att]
 
 
 def test_cascade_runaway_guard():
@@ -204,9 +224,9 @@ def test_cascade_runaway_guard():
         def do_override(self, att):
             self.log.append((att.id, Action.OVERRIDE))  # consumes nothing
 
-    att = _attacker(0, 1)
+    held = [_attacker(0, 1, gap=0)]
     with pytest.raises(RuntimeError):
-        cascade_release([att], BrokenChain({0: 0}))
+        cascade_release(held, BrokenChain(held))
 
 
 class UnreadableChain:
@@ -217,7 +237,6 @@ class UnreadableChain:
 
 
 def test_floating_attackers_are_left_alone():
-    att = AttackerState(0)  # floating: no anchor yet
-    att.units = 5
-    assert cascade_release([att], UnreadableChain()) == []
-    assert att.floating and att.units == 5
+    # Floating attackers are not in the held list; with none held the
+    # cascade returns without reading the chain.
+    assert cascade_release([], UnreadableChain()) == []
