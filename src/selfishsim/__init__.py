@@ -9,7 +9,6 @@ from .config import (
     ProtocolName,
     SimulationConfig,
     StrongchainParams,
-    balanced_fruit_params,
     config_digest,
     rival_attacker_config,
     symmetric_attacker_config,
@@ -28,8 +27,6 @@ from .io import (
     ResultRow,
     RunManifest,
     parse_config,
-    read_results,
-    read_thresholds,
     rows_from_result,
     write_results,
 )
@@ -56,14 +53,11 @@ __all__ = [
     "StrongchainParams",
     "SweepConfig",
     "ThresholdEstimate",
-    "balanced_fruit_params",
     "config_digest",
     "decide_action",
     "derive_run_seed",
     "estimate_threshold",
     "parse_config",
-    "read_results",
-    "read_thresholds",
     "rival_attacker_config",
     "rows_from_result",
     "run_simulation",

@@ -153,11 +153,6 @@ class FruitchainParams:
             raise ConfigError("block_reward and fruit_reward must not both be 0")
 
 
-def balanced_fruit_params(fruit_ratio: int = 10, freshness_window: int = 10) -> FruitchainParams:
-    """Preset where a block interval pays half to the block, half to fruits."""
-    return FruitchainParams(fruit_ratio, freshness_window, 1.0, 1.0 / fruit_ratio)
-
-
 # The parameter class of each protocol that takes parameters; its field
 # defaults are the protocol's defaults.
 PROTOCOL_PARAMS = {
@@ -233,10 +228,6 @@ class SimulationConfig:
     @property
     def selfish_ids(self) -> tuple[int, ...]:
         return tuple(m.id for m in self.miners if m.kind is MinerKind.SELFISH)
-
-    @property
-    def honest_ids(self) -> tuple[int, ...]:
-        return tuple(m.id for m in self.miners if m.kind is MinerKind.HONEST)
 
 
 def default_gamma(protocol: ProtocolName, n_selfish: int) -> float:

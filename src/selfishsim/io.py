@@ -11,13 +11,22 @@ builds, and every error names the config file once.
 
 Outputs are written under one directory: ``results.csv`` holds one row
 per (run, miner) with the ``ResultRow`` fields as columns,
-``thresholds.json`` maps series keys (``SweepConfig.key()``) to
-threshold estimates, ``plotdata/`` gets one CSV per threshold estimate
-holding the attacker-1 revenue curve it was computed from, with a
-fair-share baseline column, and ``manifest.json`` records the
-``RunManifest`` fields: tool version, config digest, master seed,
-timestamp and the files written.  Text outputs are UTF-8 with LF line
-endings; a failed write removes whatever partial outputs it created.
+``thresholds.json`` maps series names to threshold estimates,
+``plotdata/`` gets one CSV per threshold estimate holding the
+attacker-1 revenue curve it was computed from, with a fair-share
+baseline column, and ``manifest.json`` records the ``RunManifest``
+fields: tool version, config digest, master seed, timestamp and the
+files written.  Text outputs are UTF-8 with LF line endings; a failed
+write removes whatever partial outputs it created.
+
+``write_results`` takes each series as its ``SweepConfig.key()`` tuple
+and names it from that key:
+
+- series name: ``<protocol> g=<gamma> k=<attackers>[ rivals=<p>,...]``;
+- curve file: ``plotdata/<protocol>_g<gamma>_k<attackers>[_rivals_<p>-...].csv``.
+
+Every number is in shortest round-trip form: a float as ``repr(float(x))``
+(``0.5``, ``1e-05``), an int as its digits.
 """
 
 from __future__ import annotations
@@ -83,8 +92,8 @@ def _fmt(x: float) -> str:
 
 
 # results.csv columns are the ResultRow fields in order; each column's
-# (format, parse) pair follows the field's type.
-_CODECS = {"str": (str, str), "int": (str, int), "float": (_fmt, float)}
+# formatter follows the field's type.
+_CODECS = {"str": str, "int": str, "float": _fmt}
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 _COLUMN_CODECS = tuple(_CODECS[f.type] for f in fields(ResultRow))
 
@@ -245,17 +254,19 @@ def _parse(raw) -> Union[SimulationConfig, SweepConfig]:
     if params is not None:
         cls = PROTOCOL_PARAMS.get(proto)  # without one, the config class refuses parameters
         knobs["protocol_params"] = params if cls is None else _build("protocol_params", cls, params)
+    rounds = raw.get("rounds")  # checked for both shapes, so either error names the key
+    budget = None if rounds is None else _build("rounds", EndCondition, {"round_budget": rounds})
     if raw.get("sweep") is not None:
         return _parse_sweep(proto, raw, knobs)
     if raw.get("repeats") is not None:
         raise ConfigError("key 'repeats': only applies to sweep configs")
-    end, rounds = _value(raw, "end_condition", dict), raw.get("rounds")
-    if end is not None and rounds is not None:
+    end = _value(raw, "end_condition", dict)
+    if end is not None and budget is not None:
         raise ConfigError("keys 'rounds' and 'end_condition' are mutually exclusive")
     if end is not None:
         knobs["end_condition"] = _build("end_condition", EndCondition, end)
-    elif rounds is not None:
-        knobs["end_condition"] = _build("rounds", EndCondition, {"round_budget": rounds})
+    elif budget is not None:
+        knobs["end_condition"] = budget
     return SimulationConfig(protocol=proto, miners=_parse_miners(raw), **knobs)
 
 
@@ -284,7 +295,7 @@ def parse_config(path) -> Union[SimulationConfig, SweepConfig]:
 
 
 def _row_values(row: ResultRow) -> list:
-    return [fmt(getattr(row, c)) for c, (fmt, _) in zip(RESULT_COLUMNS, _COLUMN_CODECS)]
+    return [fmt(getattr(row, c)) for c, fmt in zip(RESULT_COLUMNS, _COLUMN_CODECS)]
 
 
 def _series_names(key: tuple) -> Tuple[str, str]:
@@ -384,65 +395,3 @@ def write_results(
             stale.unlink()
     return manifest
 
-
-def read_results(path) -> list:
-    """Parse a results.csv back into ResultRow objects.
-
-    A malformed row raises ``ValueError`` naming the file and the line.
-    """
-    p = Path(path)
-    rows = []
-    with p.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if tuple(header or ()) != RESULT_COLUMNS:
-            raise ValueError(f"{p}: unexpected results.csv header: {header}")
-        for rec in reader:
-            where = f"{p}: line {reader.line_num}"
-            if len(rec) != len(RESULT_COLUMNS):
-                raise ValueError(f"{where}: expected {len(RESULT_COLUMNS)} fields, got {len(rec)}")
-            try:
-                rows.append(ResultRow(*(parse(v) for v, (_, parse) in zip(rec, _COLUMN_CODECS))))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-    return rows
-
-
-def _series_key(name: str) -> tuple:
-    """The ``SweepConfig.key()`` of a thresholds.json name (see ``_series_names``)."""
-    proto, *knobs = name.split(" ")
-    prefixes = ("g=", "k=", "rivals=")
-    if not 2 <= len(knobs) <= 3 or not all(v.startswith(pre) for v, pre in zip(knobs, prefixes)):
-        raise ValueError("expected '<protocol> g=<gamma> k=<attackers>[ rivals=<p>,...]'")
-    gamma, k, *rivals = (v[len(pre):] for v, pre in zip(knobs, prefixes))
-    key: tuple = (proto, float(gamma), int(k))
-    if rivals:
-        key += (tuple(float(x) for x in rivals[0].split(",")),)
-    return key
-
-
-def read_thresholds(path) -> dict:
-    """Parse a thresholds.json back into {key tuple: ThresholdEstimate}.
-
-    A malformed entry raises ``ValueError`` naming the file and the key.
-    """
-    p = Path(path)
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{p}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{p}: expected a JSON object, got {type(raw).__name__}")
-    out = {}
-    for name, entry in raw.items():
-        try:
-            key = _series_key(name)
-            out[key] = ThresholdEstimate(
-                threshold=entry["threshold"],
-                bracket=tuple(entry["bracket"]) if entry["bracket"] else None,
-                ci95=tuple(entry["ci95"]) if entry["ci95"] else None,
-                crossing_confirmed=entry["crossing_confirmed"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{p}: key {name!r}: {type(exc).__name__}: {exc}") from None
-    return out

@@ -19,6 +19,28 @@ def quick_config(protocol, alpha=0.3, gamma=0.5, rounds=2000, seed=1, attackers=
     )
 
 
+def reward_total_error(res):
+    """Why ``res.total_reward`` is not what its chain pays, or None.
+
+    Every chain block pays its block reward, and nakamoto pays nothing
+    else.  Strongchain adds 1/ratio per paid weak header and fruitchain
+    ``fruit_reward`` per embedded fruit; each of those came from a round
+    that mined no chain block, so their count is a whole number n with
+    0 <= n <= rounds - chain_blocks.
+    """
+    total, blocks, params = res.total_reward, res.chain_blocks, res.config.protocol_params
+    protocol = res.config.protocol
+    if protocol is ProtocolName.NAKAMOTO:
+        return None if total == blocks else f"total {total} != {blocks} chain blocks"
+    if protocol is ProtocolName.STRONGCHAIN:
+        n = (total - blocks) * params.ratio
+    else:
+        n = (total - blocks * params.block_reward) / params.fruit_reward
+    if abs(n - round(n)) > 1e-6 or not 0 <= round(n) <= res.rounds - blocks:
+        return f"total {total} pays {n} units beyond {blocks} chain blocks in {res.rounds} rounds"
+    return None
+
+
 def tie_branch_shares(gamma, n_alts, attacker_main: bool = False, draws=20_000, seed=0):
     """Share of honest tie-round draws going to each tied branch.
 

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from conftest import record_acceptance, tie_branch_shares
+from conftest import record_acceptance, reward_total_error, tie_branch_shares
 from markov_oracle import closed_form_revenue, stationary_revenue
 import selfishsim.cli as cli
 from selfishsim.config import ProtocolName, symmetric_attacker_config
@@ -267,8 +267,9 @@ def test_c8_structural_invariants():
         res = run_simulation(cfg)
         if abs(sum(res.revenues) - 1.0) > 1e-9:
             problems.append(f"{proto.value} revenues sum {sum(res.revenues)}")
-        if abs(sum(res.rewards) - res.total_reward) > 1e-6:
-            problems.append(f"{proto.value} reward total mismatch")
+        error = reward_total_error(res)
+        if error:
+            problems.append(f"{proto.value} {error}")
         if any(r < 0 for r in res.rewards):
             problems.append(f"{proto.value} negative reward")
 

@@ -1,5 +1,7 @@
 """Config parsing, result files, round trips, failure cleanup."""
 
+import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -27,10 +29,9 @@ from selfishsim.experiments import (
 )
 from selfishsim.io import (
     RESULT_COLUMNS,
+    _fmt,
     describe_digest,
     parse_config,
-    read_results,
-    read_thresholds,
     rows_from_result,
     write_results,
 )
@@ -179,6 +180,8 @@ def test_parse_simulation_errors(tmp_path, mutate, needle):
         (lambda d: d["sweep"].update(attackers=True), "integer, got True"),
         (lambda d: d["sweep"].update(alpha_grid=["x"]), "alpha_grid.*numbers"),
         (lambda d: d["sweep"].update(attackers=None, rivals=[True]), "rivals.*numbers"),
+        (lambda d: d.update(rounds=0), "key 'rounds'"),
+        (lambda d: d.update(rounds=1.5), "key 'rounds'.*integer"),
     ],
 )
 def test_parse_sweep_errors(tmp_path, mutate, needle):
@@ -246,51 +249,28 @@ def test_write_and_read_results_round_trip(tmp_path):
                             crossing_confirmed=True)
     manifest = write_results(rows, {("nakamoto", 0.5, 1): est}, tmp_path / "out",
                              master_seed=5, digest="abc123")
-    assert read_results(tmp_path / "out" / "results.csv") == rows
-    back = read_thresholds(tmp_path / "out" / "thresholds.json")
-    assert back == {("nakamoto", 0.5, 1): est}
+    with open(tmp_path / "out" / "results.csv", encoding="utf-8", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == list(RESULT_COLUMNS)
+    assert table[1:] == [
+        [_fmt(v) if isinstance(v, float) else str(v) for v in dataclasses.astuple(row)]
+        for row in rows
+    ]
+    back = json.loads((tmp_path / "out" / "thresholds.json").read_text(encoding="utf-8"))
+    assert back == {"nakamoto g=0.5 k=1": {"threshold": 0.25, "bracket": [0.24, 0.26],
+                                           "ci95": [0.24, 0.26], "crossing_confirmed": True}}
     assert manifest.master_seed == 5
     assert manifest.config_digest == "abc123"
     assert "results.csv" in manifest.outputs
     assert "manifest.json" in manifest.outputs
 
 
-_GOOD_ROW = "nakamoto,0.5,1,0.3,0,100,7,0,selfish,0.25,0.3"
-
-
-@pytest.mark.parametrize("row,error", [
-    (_GOOD_ROW + ",extra", "expected 11 fields, got 12"),
-    (_GOOD_ROW.rsplit(",", 1)[0], "expected 11 fields, got 10"),
-    (_GOOD_ROW.replace("0.25", "x"), "could not convert string to float: 'x'"),
-])
-def test_read_results_names_the_file_and_line_of_a_bad_row(tmp_path, row, error):
-    path = tmp_path / "results.csv"
-    path.write_text(f"{HEADER}\n{_GOOD_ROW}\n{row}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {error}")):
-        read_results(path)
-
-
-_NO_THRESHOLD = {"threshold": None, "bracket": None, "ci95": None, "crossing_confirmed": False}
-
-
-@pytest.mark.parametrize("text,error", [
-    (json.dumps({"nakamoto g=0.5": _NO_THRESHOLD}), "key 'nakamoto g=0.5': "),
-    (json.dumps({"nakamoto g=0.5 k=1": []}), "key 'nakamoto g=0.5 k=1': "),
-    ("[]", "expected a JSON object, got list"),
-    ("{", "Expecting property name"),
-])
-def test_read_thresholds_names_the_file_of_a_bad_entry(tmp_path, text, error):
-    path = tmp_path / "thresholds.json"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
-        read_thresholds(path)
-
-
 def test_rival_threshold_key_round_trip(tmp_path):
     est = ThresholdEstimate(threshold=None)
     write_results([], {("fruitchain", 0.5, 2, (0.4,)): est}, tmp_path / "o", master_seed=0)
-    back = read_thresholds(tmp_path / "o" / "thresholds.json")
-    assert back == {("fruitchain", 0.5, 2, (0.4,)): est}
+    back = json.loads((tmp_path / "o" / "thresholds.json").read_text(encoding="utf-8"))
+    assert list(back) == ["fruitchain g=0.5 k=2 rivals=0.4"]
+    assert (tmp_path / "o" / "plotdata" / "fruitchain_g0.5_k2_rivals_0.4.csv").is_file()
 
 
 def test_csv_golden_header_and_line_endings(tmp_path):

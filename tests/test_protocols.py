@@ -4,11 +4,7 @@ import pytest
 
 from conftest import quick_config
 from selfishsim import engine
-from selfishsim.config import (
-    FruitchainParams,
-    StrongchainParams,
-    balanced_fruit_params,
-)
+from selfishsim.config import FruitchainParams, StrongchainParams
 from selfishsim.engine import EMB, _Run, run_simulation
 from selfishsim.rng import stream_uniforms
 
@@ -72,14 +68,14 @@ def _mine_block_over_fruit(chain_height, pointer_height):
 
 
 def test_fruit_freshness_boundary():
-    window = balanced_fruit_params().freshness_window
+    window = FruitchainParams().freshness_window
     h = 3
     assert _mine_block_over_fruit(h + window, h) == [(1, h, h, 1)]
     assert _mine_block_over_fruit(h + window + 1, h) == []
 
 
 def test_fruitchain_reward_arithmetic():
-    params = balanced_fruit_params()
+    params = FruitchainParams()
     blocks = [
         (1, 0, 10, None),
         (2, 1, 21, [(0, 1, 1, 1)]),
@@ -100,7 +96,7 @@ def test_a_counted_fruit_entry_pays_one_addition_per_fruit():
 def test_orphaned_fruit_pays_nothing():
     # a fruit that never makes it into a canonical block simply does not
     # appear in any emb list, so its miner gets nothing for it
-    params = balanced_fruit_params()
+    params = FruitchainParams()
     blocks = [(1, 0, 10, [])]
     assert _tally("fruitchain", blocks, params=params) == [1.0, 0.0]
 
@@ -114,7 +110,7 @@ def test_fruit_quantum_covers_block_plus_flush():
 def test_reward_split_presets():
     # one block embedding fruit_ratio fruits carries a full interval's reward
     fruit_heavy = FruitchainParams(10, 10, 1.0, 1.0)
-    for params, block_share in ((balanced_fruit_params(), 0.5), (fruit_heavy, 1 / 11)):
+    for params, block_share in ((FruitchainParams(), 0.5), (fruit_heavy, 1 / 11)):
         fruits = [(1, 0, 0, params.fruit_ratio)]
         rewards = _tally("fruitchain", [(1, 0, 20, fruits)], params=params)
         assert rewards[0] / sum(rewards) == pytest.approx(block_share)
